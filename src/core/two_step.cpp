@@ -26,7 +26,7 @@ TwoStepProcess::TwoStepProcess(consensus::Env<Message>& env, consensus::SystemCo
       stats_.selection[i] =
           &reg->counter(std::string("selection.") + to_cstring(branch));
     }
-    stats_.decision_latency = &reg->histogram("decision_latency");
+    stats_.decision_latency = &reg->log_histogram("decision_latency");
   }
 }
 
@@ -60,6 +60,7 @@ void TwoStepProcess::propose(Value v) {
   if (!val_.is_bottom()) return;
   if (!initial_val_.is_bottom()) return;  // propose is at-most-once
   initial_val_ = v;
+  proposed_at_ = env_.now();
   env_.broadcast_others(ProposeMsg{v});
   maybe_decide_fast();  // n - e == 1 degenerate case decides immediately
 }
@@ -252,7 +253,8 @@ void TwoStepProcess::decide(Value v, DecideKind kind) {
                           : kind == DecideKind::kSlow ? stats_.decisions_slow
                                                       : stats_.decisions_learned;
   if (counter) counter->add();
-  if (stats_.decision_latency) stats_.decision_latency->add(static_cast<double>(env_.now()));
+  if (stats_.decision_latency && proposed_at_ >= 0)
+    stats_.decision_latency->record(env_.now() - proposed_at_);
   options_.probe.trace([&] {
     return obs::TraceEvent{.kind = obs::EventKind::kDecision, .at = env_.now(),
                            .process = env_.self(), .ballot = bal_, .value = v,

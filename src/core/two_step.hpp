@@ -205,8 +205,9 @@ class TwoStepProcess {
     obs::Counter* decisions_learned = nullptr;
     obs::Counter* ballots_started = nullptr;
     obs::Counter* selection[7] = {};  ///< indexed by SelectionBranch
-    util::Summary* decision_latency = nullptr;
+    obs::LogHistogram* decision_latency = nullptr;  ///< propose -> decide, proposers only
   } stats_;
+  sim::Tick proposed_at_ = -1;  ///< when propose() took our value (-1: never)
 
   bool started_ = false;
   bool decide_notified_ = false;

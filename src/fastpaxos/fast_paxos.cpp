@@ -17,7 +17,7 @@ FastPaxosProcess::FastPaxosProcess(consensus::Env<Message>& env, consensus::Syst
     stats_.decisions_fast = &reg->counter("decisions.fast");
     stats_.decisions_slow = &reg->counter("decisions.slow");
     stats_.ballots_started = &reg->counter("ballots.started");
-    stats_.decision_latency = &reg->histogram("decision_latency");
+    stats_.decision_latency = &reg->log_histogram("decision_latency");
   }
 }
 
@@ -40,6 +40,7 @@ void FastPaxosProcess::propose(Value v) {
   if (v.is_bottom()) throw std::invalid_argument("propose: value must not be bottom");
   if (!my_value_.is_bottom()) return;
   my_value_ = v;
+  proposed_at_ = env_.now();
   // Fast round: the proposal goes straight to all acceptors (incl. self; the
   // self-delivery registers our own round-0 vote).
   env_.broadcast_all(FastProposeMsg{v});
@@ -161,7 +162,8 @@ void FastPaxosProcess::decide(Ballot b, Value v) {
   decide_notified_ = true;
   obs::Counter* counter = b == 0 ? stats_.decisions_fast : stats_.decisions_slow;
   if (counter) counter->add();
-  if (stats_.decision_latency) stats_.decision_latency->add(static_cast<double>(env_.now()));
+  if (stats_.decision_latency && proposed_at_ >= 0)
+    stats_.decision_latency->record(env_.now() - proposed_at_);
   options_.probe.trace([&] {
     return obs::TraceEvent{.kind = obs::EventKind::kDecision, .at = env_.now(),
                            .process = env_.self(), .ballot = b, .value = v,

@@ -147,8 +147,9 @@ class FastPaxosProcess {
     obs::Counter* decisions_fast = nullptr;  ///< fast quorum at round 0
     obs::Counter* decisions_slow = nullptr;
     obs::Counter* ballots_started = nullptr;
-    util::Summary* decision_latency = nullptr;
+    obs::LogHistogram* decision_latency = nullptr;  ///< propose -> decide, proposers only
   } stats_;
+  sim::Tick proposed_at_ = -1;  ///< when propose() took our value (-1: never)
 
   bool started_ = false;
   bool decide_notified_ = false;

@@ -151,10 +151,12 @@ ClientSession::Wait ClientSession::await_reply(std::int64_t id, std::int64_t dea
       return Wait::kGot;
     }
     if (parser_.failed()) return Wait::kConnLost;
-    const std::int64_t remaining_ms = (deadline - now_us()) / 1000;
-    if (remaining_ms <= 0) return Wait::kTimeout;
+    const std::int64_t remaining_us = deadline - now_us();
+    if (remaining_us <= 0) return Wait::kTimeout;
+    // Round up: truncating would end an attempt up to 1 ms before its
+    // deadline (and poll(0) would spin through the last millisecond).
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(remaining_ms));
+    const int ready = ::poll(&pfd, 1, static_cast<int>((remaining_us + 999) / 1000));
     if (ready < 0 && errno == EINTR) continue;
     if (ready == 0) return Wait::kTimeout;
     if (ready < 0) return Wait::kConnLost;

@@ -108,7 +108,7 @@ class OpenLoopLoadgen {
   struct Pending {
     int session = 0;
     std::int64_t payload = 0;
-    std::int64_t start_us = 0;  ///< ORIGINAL issue time; resends do not reset it
+    std::int64_t start_us = 0;  ///< due instant; resends do not reset it
   };
 
   void issue_due_arrivals();

@@ -17,7 +17,7 @@ PaxosProcess::PaxosProcess(consensus::Env<Message>& env, consensus::SystemConfig
     stats_.decisions_fast = &reg->counter("decisions.fast");
     stats_.decisions_slow = &reg->counter("decisions.slow");
     stats_.ballots_started = &reg->counter("ballots.started");
-    stats_.decision_latency = &reg->histogram("decision_latency");
+    stats_.decision_latency = &reg->log_histogram("decision_latency");
   }
 }
 
@@ -31,6 +31,7 @@ void PaxosProcess::propose(Value v) {
   if (v.is_bottom()) throw std::invalid_argument("propose: value must not be bottom");
   if (!my_value_.is_bottom()) return;
   my_value_ = v;
+  proposed_at_ = env_.now();
   // Ballot 0 is phase-1-free and owned by p0: the initial leader goes
   // straight to phase 2 with its own value.
   if (env_.self() == 0) {
@@ -120,7 +121,8 @@ void PaxosProcess::decide(Ballot b, Value v) {
   // path; anything later went through a timer-started ballot.
   obs::Counter* counter = b == 0 ? stats_.decisions_fast : stats_.decisions_slow;
   if (counter) counter->add();
-  if (stats_.decision_latency) stats_.decision_latency->add(static_cast<double>(env_.now()));
+  if (stats_.decision_latency && proposed_at_ >= 0)
+    stats_.decision_latency->record(env_.now() - proposed_at_);
   options_.probe.trace([&] {
     return obs::TraceEvent{.kind = obs::EventKind::kDecision, .at = env_.now(),
                            .process = env_.self(), .ballot = b, .value = v,

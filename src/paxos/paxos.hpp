@@ -116,8 +116,9 @@ class PaxosProcess {
     obs::Counter* decisions_fast = nullptr;  ///< decided at ballot 0 (2Δ path)
     obs::Counter* decisions_slow = nullptr;
     obs::Counter* ballots_started = nullptr;
-    util::Summary* decision_latency = nullptr;
+    obs::LogHistogram* decision_latency = nullptr;  ///< propose -> decide, proposers only
   } stats_;
+  sim::Tick proposed_at_ = -1;  ///< when propose() took our value (-1: never)
 
   bool started_ = false;
   bool decide_notified_ = false;

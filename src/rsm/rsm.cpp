@@ -1,6 +1,7 @@
 #include "rsm/rsm.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
@@ -458,12 +459,13 @@ std::optional<Command> RsmProcess::decision(std::int32_t slot) const {
   return it->second;
 }
 
-std::vector<Msg> RsmProcess::decide_messages() const {
+std::vector<Msg> RsmProcess::decide_messages(std::int32_t from_slot) const {
   std::vector<Msg> out;
-  out.reserve(decisions_.size());
+  const auto tail = std::ranges::subrange(decisions_.lower_bound(from_slot), decisions_.end());
+  out.reserve(static_cast<std::size_t>(std::ranges::distance(tail)));
   // Contents first: a peer must be able to expand every decision it is
   // about to learn without a fetch round-trip.
-  for (const auto& [slot, cmd] : decisions_) {
+  for (const auto& [slot, cmd] : tail) {
     if (command_is_config(cmd)) {
       const auto it = config_contents_.find(cmd);
       if (it != config_contents_.end()) out.push_back(ConfigChangeMsg{cmd, it->second});
@@ -473,7 +475,7 @@ std::vector<Msg> RsmProcess::decide_messages() const {
     const auto it = batch_contents_.find(cmd);
     if (it != batch_contents_.end()) out.push_back(BatchContentMsg{cmd, it->second});
   }
-  for (const auto& [slot, cmd] : decisions_)
+  for (const auto& [slot, cmd] : tail)
     out.push_back(
         SlotMsg{slot, governing_version(slot), core::Message{core::DecideMsg{consensus::Value{cmd}}}});
   return out;

@@ -311,8 +311,10 @@ class RsmProcess {
   /// queue is bounded, so a replica that was down through many decisions
   /// needs this anti-entropy pass to fill its log gaps (its own ballot
   /// timers cannot: only the Ω leader starts ballots, and a decided leader
-  /// has nothing left to run).
-  [[nodiscard]] std::vector<Message> decide_messages() const;
+  /// has nothing left to run).  The periodic catch-up passes the peer's
+  /// gossiped applied prefix as `from_slot`, so only the decisions at or
+  /// above it (and their contents) travel.
+  [[nodiscard]] std::vector<Message> decide_messages(std::int32_t from_slot = 0) const;
 
   // --- configuration ---
 

@@ -1,68 +1,117 @@
 #include "storage/durable.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "codec/codec.hpp"
+
+namespace twostep::codec {
+
+// The disk records' field lists.  They live beside the wire ones (same
+// namespace, so the generic codec finds them) but keep the on-disk layouts:
+// the core tuple puts `initial` before `decided` (a 1B message has them the
+// other way round), and a config change's op is a varint here, a byte on
+// the wire.
+
+template <class F>
+void fields(F& f, core::TwoStepProcess::AcceptorState& s) {
+  f(s.bal, s.vbal, s.val, s.proposer, s.initial, s.decided);
+}
+
+template <class F>
+void fields(F& f, fastpaxos::FastPaxosProcess::AcceptorState& s) {
+  f(s.bal, s.vbal, s.vval, s.my_value, s.decided);
+}
+
+}  // namespace twostep::codec
 
 namespace twostep::storage {
 
 namespace {
 
 using consensus::Ballot;
-using consensus::ProcessId;
-using consensus::Value;
+using codec::nonneg;
 
-std::vector<std::uint8_t> encode_core_state(const core::TwoStepProcess::AcceptorState& s) {
-  codec::Writer w;
-  w.put_i64(s.bal);
-  w.put_i64(s.vbal);
-  w.put_value(s.val);
-  w.put_i64(s.proposer);
-  w.put_value(s.initial);
-  w.put_value(s.decided);
-  return std::move(w).take();
-}
+/// A config change as the WAL and the snapshot blob store it.
+struct DiskChange {
+  rsm::ConfigChange& c;
+  template <class F>
+  friend void fields(F& f, DiskChange d) {
+    f(codec::varint_enum(d.c.op, rsm::ConfigChange::Op::kRemove), nonneg(d.c.replica), d.c.host,
+      d.c.port);
+  }
+};
 
-bool decode_core_state(codec::Reader& r, core::TwoStepProcess::AcceptorState& out) {
-  out.bal = r.get_i64();
-  out.vbal = r.get_i64();
-  out.val = r.get_value();
-  out.proposer = static_cast<ProcessId>(r.get_i64());
-  out.initial = r.get_value();
-  out.decided = r.get_value();
-  return r.ok();
-}
+// RSM WAL records.  Slot records lead with the (non-negative) slot; batch
+// and config records with a negative tag, so replay tells them apart.
 
-void put_config_change(codec::Writer& w, const rsm::ConfigChange& c) {
-  w.put_i64(static_cast<std::int64_t>(c.op));
-  w.put_i64(c.replica);
-  w.put_string(c.host);
-  w.put_i64(c.port);
-}
+struct SlotRecord {
+  std::int32_t slot = 0;
+  core::TwoStepProcess::AcceptorState state;
+  template <class F>
+  friend void fields(F& f, SlotRecord& r) {
+    f(nonneg(r.slot), r.state);
+  }
+};
 
-bool get_config_change(codec::Reader& r, rsm::ConfigChange& out) {
-  const std::int64_t op = r.get_i64();
-  const std::int64_t replica = r.get_i64();
-  std::string host = r.get_string();
-  const std::int64_t port = r.get_i64();
-  if (!r.ok()) return false;
-  if (op < 0 || op > static_cast<std::int64_t>(rsm::ConfigChange::Op::kRemove)) return false;
-  if (replica < 0 || replica > std::numeric_limits<ProcessId>::max()) return false;
-  if (port < 0 || port > 65535) return false;
-  out.op = static_cast<rsm::ConfigChange::Op>(op);
-  out.replica = static_cast<ProcessId>(replica);
-  out.host = std::move(host);
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
+struct BatchRecord {
+  rsm::Command cmd = 0;
+  std::vector<std::int64_t> payloads;
+  template <class F>
+  friend void fields(F& f, BatchRecord& r) {
+    f(codec::Const<Durable<rsm::RsmProcess>::kBatchRecordTag>{}, r.cmd, r.payloads);
+  }
+};
+
+struct ConfigRecord {
+  rsm::Command cmd = 0;
+  rsm::ConfigChange change;
+  template <class F>
+  friend void fields(F& f, ConfigRecord& r) {
+    f(codec::Const<Durable<rsm::RsmProcess>::kConfigRecordTag>{}, r.cmd, DiskChange{r.change});
+  }
+};
+
+/// An EPaxos instance's durable slice, keyed by its id.
+struct InstanceRecord {
+  epaxos::InstanceId id;
+  epaxos::EPaxosReplica::InstanceState s;
+  template <class F>
+  friend void fields(F& f, InstanceRecord& r) {
+    f(r.id, codec::varint_enum(r.s.status, epaxos::Status::kExecuted), r.s.ballot, r.s.cmd,
+      r.s.seq, r.s.deps);
+  }
+};
+
+/// The snapshot blob: every list a count + entries, slots and members
+/// non-negative, and at least the genesis epoch.
+struct SnapshotBlob {
+  rsm::SnapshotState& s;
+  template <class F>
+  friend void fields(F& f, SnapshotBlob b) {
+    const auto slot_keyed = [](auto& g, auto& e) { g(nonneg(e.first), e.second); };
+    f(codec::Const<Snapshotable<rsm::RsmProcess>::kVersion>{}, nonneg(b.s.floor),
+      codec::each(b.s.applied, slot_keyed), codec::each(b.s.slots, slot_keyed), b.s.batches,
+      codec::each(b.s.epochs,
+                  [](auto& g, rsm::ConfigEpoch& e) {
+                    g(nonneg(e.version), nonneg(e.boundary), nonneg(e.universe),
+                      codec::each(e.members, [](auto& h, auto& m) { h(nonneg(m)); }),
+                      DiskChange{e.change});
+                  }),
+      codec::each(b.s.configs, [](auto& g, auto& e) { g(e.first, DiskChange{e.second}); }));
+  }
+  friend bool valid(codec::Check, const SnapshotBlob& b) {
+    return !b.s.epochs.empty() &&
+           std::all_of(b.s.epochs.begin(), b.s.epochs.end(),
+                       [](const rsm::ConfigEpoch& e) { return e.universe >= 1; });
+  }
+};
 
 }  // namespace
 
 // ---- core::TwoStepProcess -------------------------------------------------
 
 bool Durable<core::TwoStepProcess>::capture(core::TwoStepProcess& p, Wal& wal) {
-  std::vector<std::uint8_t> record = encode_core_state(p.acceptor_state());
+  std::vector<std::uint8_t> record = codec::to_bytes(p.acceptor_state());
   if (record == last_) return false;
   wal.append(record);
   last_ = std::move(record);
@@ -71,10 +120,9 @@ bool Durable<core::TwoStepProcess>::capture(core::TwoStepProcess& p, Wal& wal) {
 
 void Durable<core::TwoStepProcess>::replay(core::TwoStepProcess& p,
                                            std::span<const std::uint8_t> record) {
-  codec::Reader r{record};
-  core::TwoStepProcess::AcceptorState s;
-  if (!decode_core_state(r, s) || !r.exhausted()) return;
-  p.restore(s);
+  const auto s = codec::from_bytes<core::TwoStepProcess::AcceptorState>(record);
+  if (!s) return;
+  p.restore(*s);
   last_.assign(record.begin(), record.end());
 }
 
@@ -90,14 +138,7 @@ void Durable<core::TwoStepProcess>::note_recovery(const core::TwoStepProcess& p,
 // ---- fastpaxos::FastPaxosProcess ------------------------------------------
 
 bool Durable<fastpaxos::FastPaxosProcess>::capture(fastpaxos::FastPaxosProcess& p, Wal& wal) {
-  const auto s = p.acceptor_state();
-  codec::Writer w;
-  w.put_i64(s.bal);
-  w.put_i64(s.vbal);
-  w.put_value(s.vval);
-  w.put_value(s.my_value);
-  w.put_value(s.decided);
-  std::vector<std::uint8_t> record = std::move(w).take();
+  std::vector<std::uint8_t> record = codec::to_bytes(p.acceptor_state());
   if (record == last_) return false;
   wal.append(record);
   last_ = std::move(record);
@@ -106,15 +147,9 @@ bool Durable<fastpaxos::FastPaxosProcess>::capture(fastpaxos::FastPaxosProcess& 
 
 void Durable<fastpaxos::FastPaxosProcess>::replay(fastpaxos::FastPaxosProcess& p,
                                                   std::span<const std::uint8_t> record) {
-  codec::Reader r{record};
-  fastpaxos::FastPaxosProcess::AcceptorState s;
-  s.bal = r.get_i64();
-  s.vbal = r.get_i64();
-  s.vval = r.get_value();
-  s.my_value = r.get_value();
-  s.decided = r.get_value();
-  if (!r.ok() || !r.exhausted()) return;
-  p.restore(s);
+  const auto s = codec::from_bytes<fastpaxos::FastPaxosProcess::AcceptorState>(record);
+  if (!s) return;
+  p.restore(*s);
   last_.assign(record.begin(), record.end());
 }
 
@@ -135,12 +170,7 @@ bool Durable<rsm::RsmProcess>::capture(rsm::RsmProcess& p, Wal& wal) {
   for (const rsm::Command cmd : p.drain_dirty_batches()) {
     const std::vector<std::int64_t>* payloads = p.batch_contents(cmd);
     if (payloads == nullptr) continue;
-    codec::Writer w;
-    w.put_i64(kBatchRecordTag);
-    w.put_i64(cmd);
-    w.put_i64(static_cast<std::int64_t>(payloads->size()));
-    for (const std::int64_t payload : *payloads) w.put_i64(payload);
-    wal.append(std::move(w).take());
+    wal.append(codec::to_bytes(BatchRecord{cmd, *payloads}));
     appended = true;
   }
   // Config-change contents, same ordering rule as batches: replaying a
@@ -149,21 +179,13 @@ bool Durable<rsm::RsmProcess>::capture(rsm::RsmProcess& p, Wal& wal) {
   for (const rsm::Command cmd : p.drain_dirty_configs()) {
     const rsm::ConfigChange* change = p.config_contents(cmd);
     if (change == nullptr) continue;
-    codec::Writer w;
-    w.put_i64(kConfigRecordTag);
-    w.put_i64(cmd);
-    put_config_change(w, *change);
-    wal.append(std::move(w).take());
+    wal.append(codec::to_bytes(ConfigRecord{cmd, *change}));
     appended = true;
   }
   for (const std::int32_t slot : p.drain_dirty_slots()) {
     const core::TwoStepProcess* proc = p.slot_process(slot);
     if (proc == nullptr) continue;
-    codec::Writer w;
-    w.put_i64(slot);
-    std::vector<std::uint8_t> state = encode_core_state(proc->acceptor_state());
-    for (const std::uint8_t byte : state) w.put_u8(byte);
-    std::vector<std::uint8_t> record = std::move(w).take();
+    std::vector<std::uint8_t> record = codec::to_bytes(SlotRecord{slot, proc->acceptor_state()});
     auto& cell = last_[slot];
     if (record == cell) continue;
     wal.append(record);
@@ -174,33 +196,20 @@ bool Durable<rsm::RsmProcess>::capture(rsm::RsmProcess& p, Wal& wal) {
 }
 
 void Durable<rsm::RsmProcess>::replay(rsm::RsmProcess& p, std::span<const std::uint8_t> record) {
-  codec::Reader r{record};
-  const std::int64_t slot = r.get_i64();
-  if (r.ok() && slot == kBatchRecordTag) {
-    const rsm::Command cmd = r.get_i64();
-    const std::int64_t count = r.get_i64();
-    if (!r.ok() || count < 0 || static_cast<std::uint64_t>(count) > record.size()) return;
-    std::vector<std::int64_t> payloads;
-    payloads.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) payloads.push_back(r.get_i64());
-    if (!r.ok() || !r.exhausted()) return;
-    p.restore_batch(cmd, std::move(payloads));
+  if (auto batch = codec::from_bytes<BatchRecord>(record)) {
+    p.restore_batch(batch->cmd, std::move(batch->payloads));
     ++replayed_batches_;
     return;
   }
-  if (r.ok() && slot == kConfigRecordTag) {
-    const rsm::Command cmd = r.get_i64();
-    rsm::ConfigChange change;
-    if (!r.ok() || !get_config_change(r, change) || !r.exhausted()) return;
-    p.restore_config(cmd, change);
+  if (const auto config = codec::from_bytes<ConfigRecord>(record)) {
+    p.restore_config(config->cmd, config->change);
     ++replayed_configs_;
     return;
   }
-  core::TwoStepProcess::AcceptorState s;
-  if (!decode_core_state(r, s) || !r.exhausted()) return;
-  if (!r.ok() || slot < 0 || slot > INT32_MAX) return;
-  p.restore_slot(static_cast<std::int32_t>(slot), s);
-  auto& cell = last_[static_cast<std::int32_t>(slot)];
+  const auto slot = codec::from_bytes<SlotRecord>(record);
+  if (!slot) return;
+  p.restore_slot(slot->slot, slot->state);
+  auto& cell = last_[slot->slot];
   const bool fresh = cell.empty();
   cell.assign(record.begin(), record.end());
   if (fresh) ++replayed_slots_;
@@ -227,34 +236,12 @@ void Durable<rsm::RsmProcess>::note_recovery(const rsm::RsmProcess& p,
 
 // ---- epaxos::EPaxosRsm ----------------------------------------------------
 
-namespace {
-
-std::vector<std::uint8_t> encode_epaxos_instance(const epaxos::InstanceId& id,
-                                                 const epaxos::EPaxosReplica::InstanceState& s) {
-  codec::Writer w;
-  w.put_i64(id.replica);
-  w.put_i64(id.index);
-  w.put_i64(static_cast<std::int64_t>(s.status));
-  w.put_i64(s.ballot);
-  w.put_i64(s.cmd.key);
-  w.put_i64(s.cmd.payload);
-  w.put_i64(s.seq);
-  w.put_i64(static_cast<std::int64_t>(s.deps.size()));
-  for (const epaxos::InstanceId& dep : s.deps) {
-    w.put_i64(dep.replica);
-    w.put_i64(dep.index);
-  }
-  return std::move(w).take();
-}
-
-}  // namespace
-
 bool Durable<epaxos::EPaxosRsm>::capture(epaxos::EPaxosRsm& p, Wal& wal) {
   bool appended = false;
   for (const epaxos::InstanceId id : p.replica().drain_dirty_instances()) {
-    const auto state = p.replica().instance_state(id);
+    auto state = p.replica().instance_state(id);
     if (!state) continue;
-    std::vector<std::uint8_t> record = encode_epaxos_instance(id, *state);
+    std::vector<std::uint8_t> record = codec::to_bytes(InstanceRecord{id, std::move(*state)});
     auto& cell = last_[id];
     if (record == cell) continue;
     wal.append(record);
@@ -266,37 +253,10 @@ bool Durable<epaxos::EPaxosRsm>::capture(epaxos::EPaxosRsm& p, Wal& wal) {
 
 void Durable<epaxos::EPaxosRsm>::replay(epaxos::EPaxosRsm& p,
                                         std::span<const std::uint8_t> record) {
-  codec::Reader r{record};
-  epaxos::InstanceId id;
-  id.replica = static_cast<ProcessId>(r.get_i64());
-  const std::int64_t index = r.get_i64();
-  const std::int64_t status = r.get_i64();
-  epaxos::EPaxosReplica::InstanceState s;
-  s.ballot = r.get_i64();
-  s.cmd.key = r.get_i64();
-  s.cmd.payload = r.get_i64();
-  s.seq = r.get_i64();
-  const std::int64_t dep_count = r.get_i64();
-  if (!r.ok() || index < 0 || index > INT32_MAX || dep_count < 0 ||
-      static_cast<std::uint64_t>(dep_count) > record.size())
-    return;
-  id.index = static_cast<std::int32_t>(index);
-  if (!id.valid() || status < 0 ||
-      status > static_cast<std::int64_t>(epaxos::Status::kExecuted))
-    return;
-  s.status = static_cast<epaxos::Status>(status);
-  for (std::int64_t i = 0; i < dep_count; ++i) {
-    epaxos::InstanceId dep;
-    dep.replica = static_cast<ProcessId>(r.get_i64());
-    const std::int64_t dep_index = r.get_i64();
-    if (!r.ok() || dep_index < 0 || dep_index > INT32_MAX) return;
-    dep.index = static_cast<std::int32_t>(dep_index);
-    if (!dep.valid()) return;
-    s.deps.insert(dep);
-  }
-  if (!r.ok() || !r.exhausted()) return;
-  p.replica().restore_instance(id, s);
-  auto& cell = last_[id];
+  const auto r = codec::from_bytes<InstanceRecord>(record);
+  if (!r) return;
+  p.replica().restore_instance(r->id, r->s);
+  auto& cell = last_[r->id];
   const bool fresh = cell.empty();
   cell.assign(record.begin(), record.end());
   if (fresh) ++replayed_instances_;
@@ -314,128 +274,14 @@ void Durable<epaxos::EPaxosRsm>::note_recovery(const epaxos::EPaxosRsm& p,
 // ---- Snapshotable<rsm::RsmProcess> ----------------------------------------
 
 std::vector<std::uint8_t> Snapshotable<rsm::RsmProcess>::capture(const rsm::RsmProcess& p) {
-  const rsm::SnapshotState s = p.snapshot_state();
-  codec::Writer w;
-  w.put_i64(kVersion);
-  w.put_i64(s.floor);
-  w.put_i64(static_cast<std::int64_t>(s.applied.size()));
-  for (const auto& [slot, cmd] : s.applied) {
-    w.put_i64(slot);
-    w.put_i64(cmd);
-  }
-  w.put_i64(static_cast<std::int64_t>(s.slots.size()));
-  for (const auto& [slot, state] : s.slots) {
-    w.put_i64(slot);
-    for (const std::uint8_t byte : encode_core_state(state)) w.put_u8(byte);
-  }
-  w.put_i64(static_cast<std::int64_t>(s.batches.size()));
-  for (const auto& [cmd, payloads] : s.batches) {
-    w.put_i64(cmd);
-    w.put_i64(static_cast<std::int64_t>(payloads.size()));
-    for (const std::int64_t payload : payloads) w.put_i64(payload);
-  }
-  w.put_i64(static_cast<std::int64_t>(s.epochs.size()));
-  for (const rsm::ConfigEpoch& e : s.epochs) {
-    w.put_i64(e.version);
-    w.put_i64(e.boundary);
-    w.put_i64(e.universe);
-    w.put_i64(static_cast<std::int64_t>(e.members.size()));
-    for (const ProcessId m : e.members) w.put_i64(m);
-    put_config_change(w, e.change);
-  }
-  w.put_i64(static_cast<std::int64_t>(s.configs.size()));
-  for (const auto& [cmd, change] : s.configs) {
-    w.put_i64(cmd);
-    put_config_change(w, change);
-  }
-  return std::move(w).take();
+  rsm::SnapshotState s = p.snapshot_state();
+  return codec::to_bytes(SnapshotBlob{s});
 }
 
 bool Snapshotable<rsm::RsmProcess>::install(rsm::RsmProcess& p,
                                             std::span<const std::uint8_t> blob) {
-  codec::Reader r{blob};
-  if (r.get_i64() != kVersion || !r.ok()) return false;
   rsm::SnapshotState s;
-  const std::int64_t floor = r.get_i64();
-  if (!r.ok() || floor < 0 || floor > INT32_MAX) return false;
-  s.floor = static_cast<std::int32_t>(floor);
-
-  // Counts are sanity-capped against the blob size (every entry costs at
-  // least one byte) so a corrupt count cannot drive a huge allocation.
-  const auto plausible = [&blob](std::int64_t n) {
-    return n >= 0 && static_cast<std::uint64_t>(n) <= blob.size();
-  };
-
-  std::int64_t n = r.get_i64();
-  if (!r.ok() || !plausible(n)) return false;
-  s.applied.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t slot = r.get_i64();
-    const std::int64_t cmd = r.get_i64();
-    if (!r.ok() || slot < 0 || slot > INT32_MAX) return false;
-    s.applied.emplace_back(static_cast<std::int32_t>(slot), cmd);
-  }
-
-  n = r.get_i64();
-  if (!r.ok() || !plausible(n)) return false;
-  s.slots.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t slot = r.get_i64();
-    core::TwoStepProcess::AcceptorState state;
-    if (!r.ok() || slot < 0 || slot > INT32_MAX || !decode_core_state(r, state)) return false;
-    s.slots.emplace_back(static_cast<std::int32_t>(slot), state);
-  }
-
-  n = r.get_i64();
-  if (!r.ok() || !plausible(n)) return false;
-  s.batches.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const rsm::Command cmd = r.get_i64();
-    const std::int64_t count = r.get_i64();
-    if (!r.ok() || !plausible(count)) return false;
-    std::vector<std::int64_t> payloads;
-    payloads.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t j = 0; j < count; ++j) payloads.push_back(r.get_i64());
-    if (!r.ok()) return false;
-    s.batches.emplace_back(cmd, std::move(payloads));
-  }
-
-  n = r.get_i64();
-  if (!r.ok() || n < 1 || !plausible(n)) return false;  // genesis always present
-  s.epochs.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    rsm::ConfigEpoch e;
-    const std::int64_t version = r.get_i64();
-    const std::int64_t boundary = r.get_i64();
-    const std::int64_t universe = r.get_i64();
-    const std::int64_t members = r.get_i64();
-    if (!r.ok() || version < 0 || version > INT32_MAX || boundary < 0 || boundary > INT32_MAX ||
-        universe < 1 || universe > INT32_MAX || !plausible(members))
-      return false;
-    e.version = static_cast<std::int32_t>(version);
-    e.boundary = static_cast<std::int32_t>(boundary);
-    e.universe = static_cast<std::int32_t>(universe);
-    e.members.reserve(static_cast<std::size_t>(members));
-    for (std::int64_t j = 0; j < members; ++j) {
-      const std::int64_t m = r.get_i64();
-      if (!r.ok() || m < 0 || m > std::numeric_limits<ProcessId>::max()) return false;
-      e.members.push_back(static_cast<ProcessId>(m));
-    }
-    if (!get_config_change(r, e.change)) return false;
-    s.epochs.push_back(std::move(e));
-  }
-
-  n = r.get_i64();
-  if (!r.ok() || !plausible(n)) return false;
-  s.configs.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const rsm::Command cmd = r.get_i64();
-    rsm::ConfigChange change;
-    if (!r.ok() || !get_config_change(r, change)) return false;
-    s.configs.emplace_back(cmd, std::move(change));
-  }
-  if (!r.exhausted()) return false;
-
+  if (!codec::from_bytes(blob, SnapshotBlob{s})) return false;
   p.install_snapshot_state(s);
   return true;
 }

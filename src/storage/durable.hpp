@@ -7,7 +7,11 @@
 // change detector, so unchanged state is never re-logged after recovery).
 // The records are codec-encoded (zigzag varints, Value presence bytes) —
 // the same primitives as the wire format, so a WAL record is as compact as
-// the message that revealed the state it protects.
+// the message that revealed the state it protects.  Each record kind (and
+// the snapshot blob) declares its fields once, in durable.cpp, and the
+// generic codec derives its encoder and its total decoder; adding a record
+// means one fields() declaration plus one golden vector in
+// tests/test_golden.cpp.
 //
 // What is durable per protocol, and why it suffices for safety:
 //   - TwoStepProcess (task and object mode): the full Figure-1 acceptor
@@ -194,15 +198,10 @@ struct Durable<epaxos::EPaxosRsm> {
 
 template <>
 struct Snapshotable<rsm::RsmProcess> {
-  /// Blob format version (the leading varint).  v2 layout, all zigzag
-  /// varints (strings length-prefixed):
-  ///   version, floor,
-  ///   applied_count, { slot, command } per applied entry,
-  ///   slot_count, { slot, core acceptor tuple } per live slot,
-  ///   batch_count, { handle, payload_count, payloads... } per batch,
-  ///   epoch_count, { version, boundary, universe, member_count, members...,
-  ///                  op, replica, host, port } per config epoch,
-  ///   config_count, { handle, op, replica, host, port } per pending change.
+  /// Blob format version (the leading varint).  The v2 layout is the
+  /// SnapshotBlob field list in durable.cpp: version, floor, then the
+  /// applied entries, live slots, batches, config epochs and pending
+  /// config changes of rsm::SnapshotState, each list a count + entries.
   static constexpr std::int64_t kVersion = 2;
 
   /// Encodes RsmProcess::snapshot_state().  Stateless: capture never

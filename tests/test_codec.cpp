@@ -1,61 +1,155 @@
-// Tests for the wire codec: exhaustive round-trips, varint edge cases, and
-// a decode fuzzer (malformed input must yield nullopt, never UB).
+// Tests for the wire codec.  The generic checks are one typed sweep over
+// the golden samples of every codec (golden_vectors.hpp): each sample
+// round-trips and encodes deterministically, every strict prefix and an
+// appended byte are rejected, and fuzzed or bit-flipped input is either
+// rejected or round-trips — never UB (CI runs this under ASan/UBSan).  The
+// named tests below apply the sweep per codec and add the semantic garbage
+// each decoder must refuse.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "codec/codec.hpp"
+#include "golden_vectors.hpp"
 #include "util/rng.hpp"
 
 namespace twostep::codec {
 namespace {
 
 using consensus::Value;
+using namespace golden;
 
-std::vector<core::Message> sample_messages() {
-  return {
-      core::Message{core::ProposeMsg{Value{42}}},
-      core::Message{core::ProposeMsg{Value{-7}}},
-      core::Message{core::OneAMsg{0}},
-      core::Message{core::OneAMsg{1'000'000'007}},
-      core::Message{core::OneBMsg{5, 0, Value{9}, 3, Value::bottom(), Value{1}}},
-      core::Message{core::OneBMsg{7, 7, Value::bottom(), consensus::kNoProcess,
-                                  Value{12}, Value::bottom()}},
-      core::Message{core::TwoAMsg{3, Value{11}}},
-      core::Message{core::TwoBMsg{0, Value{8}}},
-      core::Message{core::TwoBMsg{999, Value{-999}}},
-      core::Message{core::DecideMsg{Value{123456789}}},
-  };
-}
+// ---- the sweep ----
 
-TEST(Codec, RoundTripsEveryMessageKind) {
-  for (const auto& m : sample_messages()) {
-    const auto bytes = encode(m);
-    ASSERT_FALSE(bytes.empty());
-    const auto back = decode(bytes);
-    ASSERT_TRUE(back.has_value()) << core::to_string(m);
-    EXPECT_EQ(*back, m) << core::to_string(m);
+template <class C>
+void expect_round_trips() {
+  for (const auto& [value, hex] : C::vectors()) {
+    const auto bytes = C::encode(value);
+    EXPECT_EQ(bytes, C::encode(value)) << hex;
+    const auto back = C::decode(bytes);
+    ASSERT_TRUE(back.has_value()) << hex;
+    EXPECT_EQ(*back, value) << hex;
   }
 }
 
-TEST(Codec, VarintExtremes) {
+template <class C>
+void expect_prefixes_rejected() {
+  EXPECT_FALSE(C::decode({}).has_value());
+  for (const auto& [value, hex] : C::vectors()) {
+    const auto bytes = C::encode(value);
+    std::size_t strict = bytes.size();
+    // A traced frame's payload is its remainder: only the header is strict.
+    if constexpr (C::kTrailingIsPayload) strict -= value.inner.size();
+    for (std::size_t cut = 0; cut < strict; ++cut)
+      EXPECT_FALSE(C::decode({bytes.data(), cut}).has_value()) << hex << " cut=" << cut;
+  }
+}
+
+template <class C>
+void expect_trailing_byte_rejected() {
+  for (const auto& [value, hex] : C::vectors()) {
+    auto bytes = C::encode(value);
+    bytes.push_back(0x00);
+    EXPECT_FALSE(C::decode(bytes).has_value()) << hex;
+  }
+}
+
+template <class C>
+void expect_strict() {
+  expect_prefixes_rejected<C>();
+  if constexpr (!C::kTrailingIsPayload) expect_trailing_byte_rejected<C>();
+}
+
+/// Anything a decoder accepts must round-trip as a value (the byte form
+/// need not be canonical: non-minimal varints are accepted).
+template <class C>
+void expect_accepted_round_trips(std::span<const std::uint8_t> bytes) {
+  if (const auto m = C::decode(bytes)) {
+    const auto again = C::decode(C::encode(*m));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, *m);
+  }
+}
+
+template <class C>
+void expect_fuzz_round_trips(std::uint64_t seed, std::uint64_t max_len) {
+  util::Rng rng{seed};
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::vector<std::uint8_t> bytes(rng.next_below(max_len));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+    expect_accepted_round_trips<C>(bytes);
+  }
+}
+
+template <class C>
+void expect_bit_flips_round_trip() {
+  for (const auto& [value, hex] : C::vectors()) {
+    const auto bytes = C::encode(value);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = bytes;
+        flipped[i] = static_cast<std::uint8_t>(flipped[i] ^ (1u << bit));
+        expect_accepted_round_trips<C>(flipped);
+      }
+    }
+  }
+}
+
+using AllCodecs =
+    std::tuple<CoreWire, SlotWire, BatchWire, ConfigWire, FastPaxosWire, EPaxosWire,
+               ClientRequestWire, ClientReplyWire, TracedWire, StatsRequestWire, StatsReplyWire,
+               SnapshotOfferWire, SnapshotRequestWire, SnapshotChunkWire, HeartbeatWire,
+               HandoverWire, CatchupWire, ConfigCommandWire>;
+
+/// Runs `check.template operator()<C>()` for every codec C.
+template <class F>
+void for_each_codec(F check) {
+  [&]<class... Cs>(std::tuple<Cs...>*) { (check.template operator()<Cs>(), ...); }(
+      static_cast<AllCodecs*>(nullptr));
+}
+
+/// Hand-built bytes for the garbage cases, written field by field with the
+/// generic codec (int64 -> varint, uint8_t -> one byte, string -> length +
+/// bytes), so a test can spell values the typed records cannot hold.
+template <class... Ts>
+std::vector<std::uint8_t> raw(const Ts&... fields) {
   Writer w;
+  (write(w, fields), ...);
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> concat(std::vector<std::uint8_t> a, const std::vector<std::uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// ---- core protocol ----
+
+TEST(Codec, RoundTripsEveryMessageKind) { expect_round_trips<CoreWire>(); }
+
+TEST(Codec, VarintExtremes) {
   const std::int64_t extremes[] = {0, 1, -1, 63, 64, -64, -65,
                                    std::numeric_limits<std::int64_t>::max(),
                                    std::numeric_limits<std::int64_t>::min()};
-  for (const std::int64_t v : extremes) w.put_i64(v);
+  Writer w;
+  for (const std::int64_t v : extremes) write(w, v);
   Reader r{w.bytes()};
-  for (const std::int64_t v : extremes) EXPECT_EQ(r.get_i64(), v);
+  for (const std::int64_t v : extremes) {
+    std::int64_t back = 0;
+    read(r, back);
+    EXPECT_EQ(back, v);
+  }
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Codec, ValueBottomRoundTrips) {
-  Writer w;
-  w.put_value(Value::bottom());
-  w.put_value(Value{0});
-  Reader r{w.bytes()};
-  EXPECT_TRUE(r.get_value().is_bottom());
-  EXPECT_EQ(r.get_value(), Value{0});
-  EXPECT_TRUE(r.ok());
+  const auto bytes = raw(Value::bottom(), Value{0});
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0, 1, 0}));
+  std::pair<Value, Value> back{Value{5}, Value{5}};
+  ASSERT_TRUE(from_bytes(bytes, back));
+  EXPECT_TRUE(back.first.is_bottom());
+  EXPECT_EQ(back.second, Value{0});
 }
 
 TEST(Codec, SmallMessagesAreCompact) {
@@ -69,24 +163,9 @@ TEST(Codec, RejectsUnknownTag) {
   EXPECT_FALSE(decode(std::vector<std::uint8_t>{0}).has_value());
 }
 
-TEST(Codec, RejectsEmptyAndTruncated) {
-  EXPECT_FALSE(decode({}).has_value());
-  for (const auto& m : sample_messages()) {
-    const auto bytes = encode(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-      const std::span<const std::uint8_t> prefix{bytes.data(), cut};
-      EXPECT_FALSE(decode(prefix).has_value()) << core::to_string(m) << " cut=" << cut;
-    }
-  }
-}
+TEST(Codec, RejectsEmptyAndTruncated) { expect_prefixes_rejected<CoreWire>(); }
 
-TEST(Codec, RejectsTrailingGarbage) {
-  for (const auto& m : sample_messages()) {
-    auto bytes = encode(m);
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode(bytes).has_value()) << core::to_string(m);
-  }
-}
+TEST(Codec, RejectsTrailingGarbage) { expect_trailing_byte_rejected<CoreWire>(); }
 
 TEST(Codec, RejectsOversizeVarint) {
   // 11 continuation bytes: shift overruns 63 and must fail cleanly.
@@ -96,210 +175,55 @@ TEST(Codec, RejectsOversizeVarint) {
   EXPECT_FALSE(decode(bytes).has_value());
 }
 
-TEST(Codec, DecodeFuzzNeverCrashes) {
-  util::Rng rng{0xC0DEC};
-  int accepted = 0;
-  for (int iter = 0; iter < 20000; ++iter) {
-    std::vector<std::uint8_t> bytes(rng.next_below(24));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const auto m = decode(bytes);
-    if (!m) continue;
-    ++accepted;
-    // Anything accepted must round-trip as a message (the byte form need
-    // not be canonical: non-minimal varints are accepted).
-    const auto again = decode(encode(*m));
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(*again, *m);
-  }
-  // Random bytes occasionally form valid messages; that is fine.
-  EXPECT_GE(accepted, 0);
-}
+TEST(Codec, DecodeFuzzNeverCrashes) { expect_fuzz_round_trips<CoreWire>(0xC0DEC, 24); }
 
 TEST(Codec, EncodeIsDeterministic) {
-  for (const auto& m : sample_messages()) EXPECT_EQ(encode(m), encode(m));
+  for_each_codec([]<class C>() {
+    for (const auto& [value, hex] : C::vectors()) EXPECT_EQ(C::encode(value), C::encode(value));
+  });
 }
 
-// ---- every other wire-crossing type: RSM slots, Fast Paxos, client frames -
+// ---- RSM slots, Fast Paxos, client frames ----
 
-std::vector<rsm::SlotMsg> sample_slot_messages() {
-  std::vector<rsm::SlotMsg> out;
-  const std::int32_t slots[] = {0, 1, 7, 1'000'000, std::numeric_limits<std::int32_t>::max()};
-  std::int32_t cfg = 0;
-  for (const std::int32_t slot : slots)
-    for (const auto& inner : sample_messages()) out.push_back({slot, cfg++ % 3, inner});
-  return out;
-}
+TEST(Codec, SlotMessagesRoundTrip) { expect_round_trips<SlotWire>(); }
 
-std::vector<fastpaxos::Message> sample_fastpaxos_messages() {
-  return {
-      fastpaxos::Message{fastpaxos::FastProposeMsg{Value{42}}},
-      fastpaxos::Message{fastpaxos::FastProposeMsg{Value::bottom()}},
-      fastpaxos::Message{fastpaxos::PrepareMsg{0}},
-      fastpaxos::Message{fastpaxos::PrepareMsg{1'000'000'007}},
-      fastpaxos::Message{fastpaxos::PromiseMsg{5, -1, Value::bottom(), Value{9}}},
-      fastpaxos::Message{fastpaxos::PromiseMsg{3, 0, Value{11}, Value::bottom()}},
-      fastpaxos::Message{fastpaxos::AcceptMsg{2, Value{-5}}},
-      fastpaxos::Message{fastpaxos::AcceptedMsg{0, Value{8}}},
-      fastpaxos::Message{fastpaxos::AcceptedMsg{77, Value{123456789}}},
-  };
-}
-
-std::vector<ClientRequest> sample_client_requests() {
-  return {{0, 0, 0},
-          {1, 42, 0},
-          {999, -7, 1},
-          {3, 5, std::numeric_limits<std::int64_t>::max()},
-          {std::numeric_limits<std::int64_t>::max(), 1, -12345}};
-}
-
-std::vector<ClientReply> sample_client_replies() {
-  return {{0, 0, -1, true},
-          {1, 42, 0, true},
-          {7, (std::int64_t{3} << 40) | 17, 12, true},
-          {9, std::numeric_limits<std::int64_t>::min(), -1, false}};
-}
-
-TEST(Codec, SlotMessagesRoundTrip) {
-  for (const auto& m : sample_slot_messages()) {
-    const auto bytes = encode(m);
-    const auto back = decode_slot(bytes);
-    ASSERT_TRUE(back.has_value()) << "slot=" << m.slot << " " << core::to_string(m.inner);
-    EXPECT_EQ(*back, m);
-  }
-}
-
-TEST(Codec, FastPaxosMessagesRoundTrip) {
-  for (const auto& m : sample_fastpaxos_messages()) {
-    const auto bytes = encode(m);
-    const auto back = decode_fastpaxos(bytes);
-    ASSERT_TRUE(back.has_value()) << "variant index " << m.index();
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, FastPaxosMessagesRoundTrip) { expect_round_trips<FastPaxosWire>(); }
 
 TEST(Codec, ClientFramesRoundTrip) {
-  for (const auto& m : sample_client_requests()) {
-    const auto back = decode_client_request(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
-  for (const auto& m : sample_client_replies()) {
-    const auto back = decode_client_reply(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
+  expect_round_trips<ClientRequestWire>();
+  expect_round_trips<ClientReplyWire>();
 }
 
 TEST(Codec, SlotDecoderRejectsTruncationAndGarbage) {
-  // A representative sample (the full cross-product is slow under ASan).
-  const rsm::SlotMsg m{42, 2, core::Message{core::OneBMsg{5, 0, Value{9}, 3, Value::bottom(),
-                                                          Value{1}}}};
-  auto bytes = encode(m);
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    EXPECT_FALSE(decode_slot({bytes.data(), cut}).has_value()) << "cut=" << cut;
-  bytes.push_back(0x00);
-  EXPECT_FALSE(decode_slot(bytes).has_value());
+  expect_strict<SlotWire>();
+  const auto inner = encode(core::Message{core::TwoBMsg{0, Value{8}}});
   // Slot outside int32 must be rejected even when the varint itself parses.
-  Writer w;
-  w.put_i64(std::int64_t{1} << 40);
-  w.put_i64(0);
-  auto oversize = std::move(w).take();
-  const auto inner = encode(m.inner);
-  oversize.insert(oversize.end(), inner.begin(), inner.end());
-  EXPECT_FALSE(decode_slot(oversize).has_value());
+  EXPECT_FALSE(decode_slot(concat(raw(std::int64_t{1} << 40, 0), inner)).has_value());
   // Negative config version is rejected the same way.
-  Writer w2;
-  w2.put_i64(3);
-  w2.put_i64(-1);
-  auto badcfg = std::move(w2).take();
-  badcfg.insert(badcfg.end(), inner.begin(), inner.end());
-  EXPECT_FALSE(decode_slot(badcfg).has_value());
+  EXPECT_FALSE(decode_slot(concat(raw(3, -1), inner)).has_value());
 }
 
 TEST(Codec, FastPaxosDecoderRejectsTruncationAndGarbage) {
-  for (const auto& m : sample_fastpaxos_messages()) {
-    auto bytes = encode(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_fastpaxos({bytes.data(), cut}).has_value())
-          << "variant " << m.index() << " cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_fastpaxos(bytes).has_value()) << "variant " << m.index();
-  }
+  expect_strict<FastPaxosWire>();
   EXPECT_FALSE(decode_fastpaxos(std::vector<std::uint8_t>{0x7F}).has_value());
   EXPECT_FALSE(decode_fastpaxos(std::vector<std::uint8_t>{0}).has_value());
 }
 
 TEST(Codec, ClientFrameDecodersRejectTruncationAndGarbage) {
-  for (const auto& m : sample_client_requests()) {
-    auto bytes = encode(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_client_request({bytes.data(), cut}).has_value());
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_client_request(bytes).has_value());
-  }
-  for (const auto& m : sample_client_replies()) {
-    auto bytes = encode(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_client_reply({bytes.data(), cut}).has_value());
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_client_reply(bytes).has_value());
-  }
+  expect_strict<ClientRequestWire>();
+  expect_strict<ClientReplyWire>();
   // An ok byte other than 0/1 is not a valid reply.
-  {
-    const auto good = encode(ClientReply{1, 2, 3, true});
-    auto bytes = good;
-    bytes.back() = 2;
-    EXPECT_FALSE(decode_client_reply(bytes).has_value());
-  }
+  auto bytes = encode(ClientReply{1, 2, 3, true});
+  bytes.back() = 2;
+  EXPECT_FALSE(decode_client_reply(bytes).has_value());
 }
 
 // ---- EPaxos wire frames (geo / leaderless path) ----
 
-std::vector<epaxos::Message> sample_epaxos_messages() {
-  const epaxos::InstanceId a{0, 0};
-  const epaxos::InstanceId b{2, 7};
-  const epaxos::DepSet deps{a, b, epaxos::InstanceId{1, 1'000'000}};
-  return {
-      epaxos::Message{epaxos::PreAcceptMsg{a, 0, {5, 42}, {}, 0}},
-      epaxos::Message{epaxos::PreAcceptMsg{
-          b, 4, {-9, std::numeric_limits<std::int64_t>::min()}, deps, 77}},
-      epaxos::Message{epaxos::PreAcceptReplyMsg{a, 0, {}, 0, false}},
-      epaxos::Message{epaxos::PreAcceptReplyMsg{b, 7, deps, 123456789, true}},
-      epaxos::Message{epaxos::AcceptMsg{a, 0, {1, 2}, {}, 3}},
-      epaxos::Message{epaxos::AcceptMsg{b, 1'000'000'007, {0, epaxos::kNoOpPayload}, deps, 9}},
-      epaxos::Message{epaxos::AcceptReplyMsg{a, 0}},
-      epaxos::Message{epaxos::AcceptReplyMsg{b, 42}},
-      epaxos::Message{epaxos::CommitMsg{a, {7, 8}, deps, 2}},
-      epaxos::Message{epaxos::CommitMsg{
-          epaxos::InstanceId{4, std::numeric_limits<std::int32_t>::max()}, {0, 0}, {}, 0}},
-      epaxos::Message{epaxos::PrepareMsg{a, 1}},
-      epaxos::Message{epaxos::PrepareMsg{b, 1'000'000'007}},
-      epaxos::Message{epaxos::PrepareReplyMsg{a, 0, epaxos::Status::kNone, {}, {}, 0}},
-      epaxos::Message{epaxos::PrepareReplyMsg{b, 5, epaxos::Status::kCommitted, {3, 4},
-                                              deps, 11}},
-      epaxos::Message{epaxos::PrepareReplyMsg{a, 2, epaxos::Status::kExecuted,
-                                              {0, epaxos::kNoOpPayload}, {b}, 1}},
-  };
-}
-
-TEST(Codec, EPaxosMessagesRoundTrip) {
-  for (const auto& m : sample_epaxos_messages()) {
-    const auto bytes = encode(m);
-    const auto back = decode_epaxos(bytes);
-    ASSERT_TRUE(back.has_value()) << "variant index " << m.index();
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, EPaxosMessagesRoundTrip) { expect_round_trips<EPaxosWire>(); }
 
 TEST(Codec, EPaxosDecoderRejectsTruncationAndGarbage) {
-  for (const auto& m : sample_epaxos_messages()) {
-    auto bytes = encode(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_epaxos({bytes.data(), cut}).has_value())
-          << "variant " << m.index() << " cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_epaxos(bytes).has_value()) << "variant " << m.index();
-  }
+  expect_strict<EPaxosWire>();
   EXPECT_FALSE(decode_epaxos(std::vector<std::uint8_t>{0x7F}).has_value());
   EXPECT_FALSE(decode_epaxos(std::vector<std::uint8_t>{0}).has_value());
 }
@@ -335,269 +259,86 @@ TEST(Codec, EPaxosDecoderRejectsSemanticGarbage) {
   }
 }
 
-TEST(Codec, EPaxosDecoderSurvivesBitFlips) {
-  // Single-bit corruption of a valid frame either decodes to *some* message
-  // (which must then round-trip) or is rejected — never UB.
-  for (const auto& m : sample_epaxos_messages()) {
-    const auto bytes = encode(m);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      for (int bit = 0; bit < 8; ++bit) {
-        auto flipped = bytes;
-        flipped[i] = static_cast<std::uint8_t>(flipped[i] ^ (1u << bit));
-        if (const auto back = decode_epaxos(flipped))
-          EXPECT_EQ(*decode_epaxos(encode(*back)), *back);
-      }
-    }
-  }
-}
+TEST(Codec, EPaxosDecoderSurvivesBitFlips) { expect_bit_flips_round_trip<EPaxosWire>(); }
 
 // ---- batch sidecar frames (N3 saturation path) ----
 
-std::vector<rsm::Msg> sample_batch_messages() {
-  const rsm::Command handle = (std::int64_t{2} << 40) | (std::int64_t{1} << 39) | 7;
-  return {
-      rsm::Msg{rsm::BatchContentMsg{handle, {}}},
-      rsm::Msg{rsm::BatchContentMsg{handle, {0}}},
-      rsm::Msg{rsm::BatchContentMsg{handle, {1, 2, 3, 4, 5, 6, 7, 8}}},
-      rsm::Msg{rsm::BatchContentMsg{(std::int64_t{1} << 39) | 1,
-                                    {(std::int64_t{1} << 39) - 1, 0, 42}}},
-      rsm::Msg{rsm::BatchFetchMsg{handle}},
-      rsm::Msg{rsm::BatchFetchMsg{(std::int64_t{1} << 39) | 999}},
-  };
-}
-
-TEST(Codec, BatchMessagesRoundTrip) {
-  for (const auto& m : sample_batch_messages()) {
-    const auto bytes = encode_batch(m);
-    ASSERT_FALSE(bytes.empty());
-    const auto back = decode_batch(bytes);
-    ASSERT_TRUE(back.has_value()) << "variant " << m.index();
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, BatchMessagesRoundTrip) { expect_round_trips<BatchWire>(); }
 
 TEST(Codec, BatchDecoderRejectsTruncationAndGarbage) {
-  for (const auto& m : sample_batch_messages()) {
-    auto bytes = encode_batch(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_batch({bytes.data(), cut}).has_value())
-          << "variant " << m.index() << " cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_batch(bytes).has_value()) << "variant " << m.index();
-  }
-  EXPECT_FALSE(decode_batch({}).has_value());
+  expect_strict<BatchWire>();
   EXPECT_FALSE(decode_batch(std::vector<std::uint8_t>{0x7F}).has_value());
   EXPECT_FALSE(decode_batch(std::vector<std::uint8_t>{0}).has_value());
   // A payload count pointing past the buffer must fail cleanly, not read it.
-  Writer w;
-  w.put_i64((std::int64_t{1} << 39) | 1);
-  w.put_i64(1'000'000);
-  auto oversize = std::move(w).take();
-  oversize.insert(oversize.begin(), 1);  // BatchContent tag
-  EXPECT_FALSE(decode_batch(oversize).has_value());
+  EXPECT_FALSE(
+      decode_batch(raw(std::uint8_t{1}, (std::int64_t{1} << 39) | 1, 1'000'000)).has_value());
 }
 
-TEST(Codec, BatchDecoderSurvivesFuzz) {
-  util::Rng rng{0xBA7C4};
-  for (int iter = 0; iter < 20000; ++iter) {
-    std::vector<std::uint8_t> bytes(rng.next_below(40));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
-    if (const auto m = decode_batch(bytes)) EXPECT_EQ(*decode_batch(encode_batch(*m)), *m);
-  }
-}
+TEST(Codec, BatchDecoderSurvivesFuzz) { expect_fuzz_round_trips<BatchWire>(0xBA7C4, 40); }
 
 // ---- reconfiguration + failure-detector frames ----
 
-std::vector<rsm::Msg> sample_config_messages() {
-  const rsm::Command handle = (std::int64_t{3} << 38) | 7;  // bits 39+38 set
-  return {
-      rsm::Msg{rsm::ConfigChangeMsg{
-          handle, {rsm::ConfigChange::Op::kAdd, 5, "replica5.example.com", 7105}}},
-      rsm::Msg{rsm::ConfigChangeMsg{handle, {rsm::ConfigChange::Op::kAdd, 0, "", 0}}},
-      rsm::Msg{rsm::ConfigChangeMsg{
-          (std::int64_t{3} << 38) | 9999, {rsm::ConfigChange::Op::kRemove, 4, "", 0}}},
-      rsm::Msg{rsm::ConfigFetchMsg{handle}},
-      rsm::Msg{rsm::ConfigFetchMsg{(std::int64_t{3} << 38) | 1}},
-  };
-}
-
-TEST(Codec, ConfigMessagesRoundTrip) {
-  for (const auto& m : sample_config_messages()) {
-    const auto bytes = encode_config(m);
-    ASSERT_FALSE(bytes.empty());
-    const auto back = decode_config(bytes);
-    ASSERT_TRUE(back.has_value()) << "variant " << m.index();
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, ConfigMessagesRoundTrip) { expect_round_trips<ConfigWire>(); }
 
 TEST(Codec, ConfigDecoderRejectsTruncationAndGarbage) {
-  for (const auto& m : sample_config_messages()) {
-    auto bytes = encode_config(m);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_config({bytes.data(), cut}).has_value())
-          << "variant " << m.index() << " cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_config(bytes).has_value()) << "variant " << m.index();
-  }
-  EXPECT_FALSE(decode_config({}).has_value());
+  expect_strict<ConfigWire>();
   EXPECT_FALSE(decode_config(std::vector<std::uint8_t>{0x7F}).has_value());
   EXPECT_FALSE(decode_config(std::vector<std::uint8_t>{0}).has_value());
-  // An op byte outside the enum must fail, not reinterpret.
-  {
-    Writer w;
-    w.put_u8(1);  // ConfigChange tag
-    w.put_i64((std::int64_t{3} << 38) | 7);
-    w.put_u8(2);  // op: kRemove is 1, 2 is garbage
-    w.put_i64(5);
-    w.put_string("h");
-    w.put_i64(80);
-    EXPECT_FALSE(decode_config(std::move(w).take()).has_value());
-  }
+  const std::int64_t handle = (std::int64_t{3} << 38) | 7;
+  // An op byte outside the enum must fail, not reinterpret (kRemove is 1).
+  EXPECT_FALSE(decode_config(raw(std::uint8_t{1}, handle, std::uint8_t{2}, 5, std::string("h"), 80))
+                   .has_value());
   // A host length pointing past the buffer must fail cleanly, not read it.
-  {
-    Writer w;
-    w.put_u8(1);
-    w.put_i64((std::int64_t{3} << 38) | 7);
-    w.put_u8(0);
-    w.put_i64(5);
-    w.put_i64(1'000'000);  // string length
-    EXPECT_FALSE(decode_config(std::move(w).take()).has_value());
-  }
+  EXPECT_FALSE(decode_config(raw(std::uint8_t{1}, handle, std::uint8_t{0}, 5, 1'000'000))
+                   .has_value());
 }
 
 TEST(Codec, HeartbeatAndHandoverRoundTrip) {
-  for (const auto& m : {Heartbeat{0, 0}, Heartbeat{5, 3},
-                        Heartbeat{std::numeric_limits<consensus::ProcessId>::max(),
-                                  std::numeric_limits<std::int32_t>::max()}}) {
-    const auto back = decode_heartbeat(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
-  for (const auto& m : {Handover{0, 0}, Handover{2, 1},
-                        Handover{std::numeric_limits<consensus::ProcessId>::max(),
-                                 std::numeric_limits<std::int32_t>::max()}}) {
-    const auto back = decode_handover(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
+  expect_round_trips<HeartbeatWire>();
+  expect_round_trips<HandoverWire>();
 }
 
-TEST(Codec, CatchupRoundTrip) {
-  for (const auto& m : {Catchup{0, 0}, Catchup{5, 1234567},
-                        Catchup{std::numeric_limits<consensus::ProcessId>::max(),
-                                std::numeric_limits<std::int64_t>::max()}}) {
-    const auto back = decode_catchup(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, CatchupRoundTrip) { expect_round_trips<CatchupWire>(); }
 
 TEST(Codec, CatchupRejectsTruncationAndGarbage) {
-  auto bytes = encode(Catchup{3, 98765});
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    EXPECT_FALSE(decode_catchup({bytes.data(), cut}).has_value()) << "cut=" << cut;
-  bytes.push_back(0x00);
-  EXPECT_FALSE(decode_catchup(bytes).has_value());
-  // Negative sender or applied prefix: the writer would never produce them.
-  for (const auto& [from, applied] :
-       {std::pair<std::int64_t, std::int64_t>{-1, 0},
-        {std::int64_t{1} << 40, 0},
-        {0, -1}}) {
-    Writer w;
-    w.put_i64(from);
-    w.put_i64(applied);
-    EXPECT_FALSE(decode_catchup(std::move(w).take()).has_value())
-        << from << " " << applied;
-  }
+  expect_strict<CatchupWire>();
+  // Negative or oversize sender, negative applied prefix: the writer would
+  // never produce them.
+  EXPECT_FALSE(decode_catchup(raw(-1, 0)).has_value());
+  EXPECT_FALSE(decode_catchup(raw(std::int64_t{1} << 40, 0)).has_value());
+  EXPECT_FALSE(decode_catchup(raw(0, -1)).has_value());
 }
 
 TEST(Codec, HeartbeatAndHandoverRejectTruncationAndGarbage) {
-  {
-    auto bytes = encode(Heartbeat{3, 12345});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_heartbeat({bytes.data(), cut}).has_value()) << "cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_heartbeat(bytes).has_value());
-  }
-  {
-    auto bytes = encode(Handover{3, 12345});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_handover({bytes.data(), cut}).has_value()) << "cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_handover(bytes).has_value());
-  }
-  // Negative sender or version: a varint the writer would never produce.
-  for (const std::int64_t from : {std::int64_t{-1}, std::int64_t{1} << 40}) {
-    Writer w;
-    w.put_i64(from);
-    w.put_i64(0);
-    const auto bytes = std::move(w).take();
-    EXPECT_FALSE(decode_heartbeat(bytes).has_value()) << from;
-    EXPECT_FALSE(decode_handover(bytes).has_value()) << from;
-  }
-  {
-    Writer w;
-    w.put_i64(1);
-    w.put_i64(-3);
-    const auto bytes = std::move(w).take();
+  expect_strict<HeartbeatWire>();
+  expect_strict<HandoverWire>();
+  // Negative or oversize sender, negative version.
+  for (const auto& bytes : {raw(-1, 0), raw(std::int64_t{1} << 40, 0), raw(1, -3)}) {
     EXPECT_FALSE(decode_heartbeat(bytes).has_value());
     EXPECT_FALSE(decode_handover(bytes).has_value());
   }
 }
 
 TEST(Codec, ConfigCommandRoundTrip) {
-  const std::vector<ConfigCommand> samples = {
-      {0, {rsm::ConfigChange::Op::kAdd, 3, "127.0.0.1", 7103}},
-      {1, {rsm::ConfigChange::Op::kRemove, 4, "", 0}},
-      {std::numeric_limits<std::int64_t>::max(),
-       {rsm::ConfigChange::Op::kAdd, std::numeric_limits<consensus::ProcessId>::max(),
-        std::string(300, 'h'), 65535}},
-  };
-  for (const auto& m : samples) {
-    const auto back = decode_config_command(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
+  expect_round_trips<ConfigCommandWire>();
+  // A host past 127 bytes takes a two-byte length varint.
+  const ConfigCommand big{std::numeric_limits<std::int64_t>::max(),
+                          {rsm::ConfigChange::Op::kAdd,
+                           std::numeric_limits<consensus::ProcessId>::max(),
+                           std::string(300, 'h'), 65535}};
+  EXPECT_EQ(decode_config_command(encode(big)), big);
 }
 
 TEST(Codec, ConfigCommandRejectsTruncationAndGarbage) {
-  auto bytes = encode(ConfigCommand{7, {rsm::ConfigChange::Op::kAdd, 5, "host", 9000}});
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    EXPECT_FALSE(decode_config_command({bytes.data(), cut}).has_value()) << "cut=" << cut;
-  bytes.push_back(0x00);
-  EXPECT_FALSE(decode_config_command(bytes).has_value());
+  expect_strict<ConfigCommandWire>();
   // Negative correlation id, out-of-range port, bad op byte.
-  {
-    Writer w;
-    w.put_i64(-1);
-    w.put_u8(0);
-    w.put_i64(5);
-    w.put_string("h");
-    w.put_i64(80);
-    EXPECT_FALSE(decode_config_command(std::move(w).take()).has_value());
-  }
-  {
-    Writer w;
-    w.put_i64(1);
-    w.put_u8(0);
-    w.put_i64(5);
-    w.put_string("h");
-    w.put_i64(70'000);
-    EXPECT_FALSE(decode_config_command(std::move(w).take()).has_value());
-  }
-  {
-    Writer w;
-    w.put_i64(1);
-    w.put_u8(9);
-    w.put_i64(5);
-    w.put_string("h");
-    w.put_i64(80);
-    EXPECT_FALSE(decode_config_command(std::move(w).take()).has_value());
-  }
+  const std::string h = "h";
+  EXPECT_FALSE(decode_config_command(raw(-1, std::uint8_t{0}, 5, h, 80)).has_value());
+  EXPECT_FALSE(decode_config_command(raw(1, std::uint8_t{0}, 5, h, 70'000)).has_value());
+  EXPECT_FALSE(decode_config_command(raw(1, std::uint8_t{9}, 5, h, 80)).has_value());
 }
 
-// ---- trace-context propagation and stats scrape frames (PR 6) ----
+// ---- trace-context propagation and stats scrape frames ----
 
 std::vector<obs::TraceContext> sample_traces() {
   return {{1, 0, 0},
@@ -608,30 +349,19 @@ std::vector<obs::TraceContext> sample_traces() {
            std::numeric_limits<std::int64_t>::max()}};
 }
 
-std::vector<TracedFrame> sample_traced_frames() {
-  std::vector<TracedFrame> out;
-  for (const auto& trace : sample_traces()) {
-    out.push_back(
-        {4, trace, encode(rsm::SlotMsg{3, 0, core::Message{core::TwoBMsg{0, Value{8}}}})});
-    out.push_back({5, trace, encode(ClientRequest{1, 42, 0, trace})});
-    out.push_back({9, trace, {}});  // empty inner payload is legal
-  }
-  return out;
-}
-
 TEST(Codec, TraceContextRoundTrips) {
   // Both the inactive default and every active sample, back to back in one
   // buffer (the runtime appends a trace after regular fields).
   Writer w;
-  put_trace(w, obs::TraceContext{});
-  for (const auto& t : sample_traces()) put_trace(w, t);
+  write(w, obs::TraceContext{});
+  for (const auto& t : sample_traces()) write(w, t);
   Reader r{w.bytes()};
-  EXPECT_FALSE(get_trace(r).active());
+  obs::TraceContext back{1, 1, 1};
+  read(r, back);
+  EXPECT_FALSE(back.active());
   for (const auto& t : sample_traces()) {
-    const obs::TraceContext back = get_trace(r);
-    EXPECT_EQ(back.trace_id, t.trace_id);
-    EXPECT_EQ(back.parent_span, t.parent_span);
-    EXPECT_EQ(back.origin_us, t.origin_us);
+    read(r, back);
+    EXPECT_EQ(back, t);
   }
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.exhausted());
@@ -655,35 +385,20 @@ TEST(Codec, ClientRequestRejectsBadTraceFlagAndPresentButInactiveTrace) {
   bytes.back() = 2;
   EXPECT_FALSE(decode_client_request(bytes).has_value());
   // Flag says "trace follows" but the context is the inactive default.
-  Writer w;
-  w.put_i64(1);
-  w.put_i64(42);
-  w.put_i64(0);
-  w.put_u8(1);
-  put_trace(w, obs::TraceContext{});
-  EXPECT_FALSE(decode_client_request(std::move(w).take()).has_value());
+  EXPECT_FALSE(decode_client_request(raw(1, 42, 0, std::uint8_t{1}, obs::TraceContext{}))
+                   .has_value());
 }
 
-TEST(Codec, TracedFramesRoundTrip) {
-  for (const auto& m : sample_traced_frames()) {
-    const auto back = decode_traced(encode(m));
-    ASSERT_TRUE(back.has_value()) << "inner_kind=" << int(m.inner_kind);
-    EXPECT_EQ(*back, m);
-  }
-}
+TEST(Codec, TracedFramesRoundTrip) { expect_round_trips<TracedWire>(); }
 
 TEST(Codec, TracedFrameRejectsInactiveContextAndTruncatedHeaders) {
   // A wrapped frame with no active trace would never be sent — reject it.
   EXPECT_FALSE(decode_traced(encode(TracedFrame{4, obs::TraceContext{}, {1, 2, 3}})).has_value());
   // So would inner kind 0 (no such FrameKind).
   EXPECT_FALSE(decode_traced(encode(TracedFrame{0, {1, 2, 3}, {9}})).has_value());
-  // An empty-inner frame is pure header, so every strict prefix truncates
-  // the kind byte or a trace varint and must fail.
-  for (const auto& trace : sample_traces()) {
-    const auto bytes = encode(TracedFrame{4, trace, {}});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_traced({bytes.data(), cut}).has_value()) << "cut=" << cut;
-  }
+  // Every strict prefix of the header truncates the kind byte or a trace
+  // varint and must fail.
+  expect_prefixes_rejected<TracedWire>();
 }
 
 TEST(Codec, TracedFrameTreatsTheRemainderAsTheInnerPayload) {
@@ -698,144 +413,46 @@ TEST(Codec, TracedFrameTreatsTheRemainderAsTheInnerPayload) {
 }
 
 TEST(Codec, StatsFramesRoundTrip) {
-  for (const std::int64_t id : {std::int64_t{0}, std::int64_t{7},
-                                std::numeric_limits<std::int64_t>::max()}) {
-    const auto req = decode_stats_request(encode(StatsRequest{id}));
-    ASSERT_TRUE(req.has_value());
-    EXPECT_EQ(*req, (StatsRequest{id}));
-  }
-  const std::vector<StatsReply> replies = {
-      {0, ""},
-      {1, "{\"schema\": \"twostep-stats/1\"}"},
-      {7, std::string(4096, 'x') + "\"\\\n"},  // embedded quotes/escapes survive
-  };
-  for (const auto& m : replies) {
-    const auto back = decode_stats_reply(encode(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
+  expect_round_trips<StatsRequestWire>();
+  expect_round_trips<StatsReplyWire>();
+  // Long bodies with embedded quotes/escapes survive.
+  const StatsReply big{7, std::string(4096, 'x') + "\"\\\n"};
+  EXPECT_EQ(decode_stats_reply(encode(big)), big);
 }
 
 TEST(Codec, StatsDecodersRejectTruncationAndGarbage) {
-  {
-    auto bytes = encode(StatsRequest{12345});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_stats_request({bytes.data(), cut}).has_value());
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_stats_request(bytes).has_value());
-  }
-  {
-    auto bytes = encode(StatsReply{1, "{\"node\": 0}"});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_stats_reply({bytes.data(), cut}).has_value()) << "cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_stats_reply(bytes).has_value());
-    // A string length pointing past the buffer must fail cleanly.
-    Writer w;
-    w.put_i64(1);
-    w.put_i64(1'000'000);
-    EXPECT_FALSE(decode_stats_reply(std::move(w).take()).has_value());
-  }
+  expect_strict<StatsRequestWire>();
+  expect_strict<StatsReplyWire>();
+  // A string length pointing past the buffer must fail cleanly.
+  EXPECT_FALSE(decode_stats_reply(raw(1, 1'000'000)).has_value());
 }
 
 TEST(Codec, SnapshotFramesRoundTrip) {
-  const auto offer = decode_snapshot_offer(encode(SnapshotOffer{1234, 987654}));
-  ASSERT_TRUE(offer.has_value());
-  EXPECT_EQ(*offer, (SnapshotOffer{1234, 987654}));
-
-  const auto req = decode_snapshot_request(encode(SnapshotRequest{1234, 262144}));
-  ASSERT_TRUE(req.has_value());
-  EXPECT_EQ(*req, (SnapshotRequest{1234, 262144}));
-
-  SnapshotChunk chunk;
-  chunk.floor = 1234;
-  chunk.offset = 512;
-  chunk.total_bytes = 515;
-  chunk.crc = 0xCBF43926;
-  chunk.data = {1, 2, 3};
-  const auto back = decode_snapshot_chunk(encode(chunk));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, chunk);
-
-  SnapshotChunk empty;  // a zero-byte chunk frames too (total 0, no data)
-  const auto empty_back = decode_snapshot_chunk(encode(empty));
-  ASSERT_TRUE(empty_back.has_value());
-  EXPECT_EQ(*empty_back, empty);
+  expect_round_trips<SnapshotOfferWire>();
+  expect_round_trips<SnapshotRequestWire>();
+  expect_round_trips<SnapshotChunkWire>();
 }
 
 TEST(Codec, SnapshotDecodersRejectTruncationGarbageAndBadGeometry) {
-  {
-    auto bytes = encode(SnapshotOffer{9, 100});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_snapshot_offer({bytes.data(), cut}).has_value());
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_snapshot_offer(bytes).has_value());
-  }
-  {
-    auto bytes = encode(SnapshotRequest{9, 100});
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_snapshot_request({bytes.data(), cut}).has_value());
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_snapshot_request(bytes).has_value());
-  }
-  {
-    SnapshotChunk chunk;
-    chunk.floor = 9;
-    chunk.offset = 4;
-    chunk.total_bytes = 8;
-    chunk.data = {1, 2, 3, 4};
-    auto bytes = encode(chunk);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-      EXPECT_FALSE(decode_snapshot_chunk({bytes.data(), cut}).has_value()) << "cut=" << cut;
-    bytes.push_back(0x00);
-    EXPECT_FALSE(decode_snapshot_chunk(bytes).has_value());
-    // A chunk whose bytes spill past its own total_bytes is nonsense the
-    // transfer logic must never see.
-    chunk.total_bytes = 5;  // offset 4 + 4 data bytes > 5
-    EXPECT_FALSE(decode_snapshot_chunk(encode(chunk)).has_value());
-    // Negative geometry is rejected wholesale.
-    chunk.total_bytes = 8;
-    chunk.offset = -1;
-    EXPECT_FALSE(decode_snapshot_chunk(encode(chunk)).has_value());
-    // A data length pointing past the buffer must fail cleanly.
-    Writer w;
-    w.put_i64(1);   // floor
-    w.put_i64(0);   // offset
-    w.put_i64(10);  // total
-    w.put_i64(0);   // crc
-    w.put_i64(1'000'000);
-    EXPECT_FALSE(decode_snapshot_chunk(std::move(w).take()).has_value());
-  }
+  expect_strict<SnapshotOfferWire>();
+  expect_strict<SnapshotRequestWire>();
+  expect_strict<SnapshotChunkWire>();
+  SnapshotChunk chunk{9, 4, 8, 0, {1, 2, 3, 4}};
+  ASSERT_TRUE(decode_snapshot_chunk(encode(chunk)).has_value());
+  // A chunk whose bytes spill past its own total_bytes is nonsense the
+  // transfer logic must never see.
+  chunk.total_bytes = 5;  // offset 4 + 4 data bytes > 5
+  EXPECT_FALSE(decode_snapshot_chunk(encode(chunk)).has_value());
+  // Negative geometry is rejected wholesale.
+  chunk.total_bytes = 8;
+  chunk.offset = -1;
+  EXPECT_FALSE(decode_snapshot_chunk(encode(chunk)).has_value());
+  // A data length pointing past the buffer must fail cleanly.
+  EXPECT_FALSE(decode_snapshot_chunk(raw(1, 0, 10, 0, 1'000'000)).has_value());
 }
 
 TEST(Codec, AllDecodersSurviveTheSameFuzzStream) {
-  // Malformed input must yield nullopt for every decoder, never UB; anything
-  // accepted must round-trip through its own encoder (run under ASan/UBSan
-  // in CI).
-  util::Rng rng{0xFEEDC0DE};
-  for (int iter = 0; iter < 20000; ++iter) {
-    std::vector<std::uint8_t> bytes(rng.next_below(32));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
-    if (const auto m = decode_slot(bytes)) EXPECT_EQ(*decode_slot(encode(*m)), *m);
-    if (const auto m = decode_fastpaxos(bytes)) EXPECT_EQ(*decode_fastpaxos(encode(*m)), *m);
-    if (const auto m = decode_epaxos(bytes)) EXPECT_EQ(*decode_epaxos(encode(*m)), *m);
-    if (const auto m = decode_client_request(bytes))
-      EXPECT_EQ(*decode_client_request(encode(*m)), *m);
-    if (const auto m = decode_client_reply(bytes))
-      EXPECT_EQ(*decode_client_reply(encode(*m)), *m);
-    if (const auto m = decode_snapshot_offer(bytes))
-      EXPECT_EQ(*decode_snapshot_offer(encode(*m)), *m);
-    if (const auto m = decode_snapshot_request(bytes))
-      EXPECT_EQ(*decode_snapshot_request(encode(*m)), *m);
-    if (const auto m = decode_snapshot_chunk(bytes))
-      EXPECT_EQ(*decode_snapshot_chunk(encode(*m)), *m);
-    if (const auto m = decode_config(bytes)) EXPECT_EQ(*decode_config(encode_config(*m)), *m);
-    if (const auto m = decode_heartbeat(bytes)) EXPECT_EQ(*decode_heartbeat(encode(*m)), *m);
-    if (const auto m = decode_handover(bytes)) EXPECT_EQ(*decode_handover(encode(*m)), *m);
-    if (const auto m = decode_catchup(bytes)) EXPECT_EQ(*decode_catchup(encode(*m)), *m);
-    if (const auto m = decode_config_command(bytes))
-      EXPECT_EQ(*decode_config_command(encode(*m)), *m);
-  }
+  for_each_codec([]<class C>() { expect_fuzz_round_trips<C>(0xFEEDC0DE, 32); });
 }
 
 }  // namespace

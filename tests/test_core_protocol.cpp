@@ -137,6 +137,32 @@ TEST(TwoStepUnit, FastDecisionAtQuorum) {
             4);
 }
 
+TEST(TwoStepUnit, DecisionLatencyIsProposeToDecideOnTheProposer) {
+  // A live node's clock reads its uptime, so the metric must be the time
+  // since propose(), not the decide instant: 2Δ on the fast path, while
+  // the clock already reads 10^6.
+  obs::MetricsRegistry metrics;
+  Options options = Fixture::make_options(Mode::kTask);
+  options.probe.metrics = &metrics;
+  const SystemConfig cfg{3, 1, 1};
+  MockEnv<Message> proposer_env(0, cfg.n);
+  TwoStepProcess proposer(proposer_env, cfg, options);
+  MockEnv<Message> voter_env(1, cfg.n);
+  TwoStepProcess voter(voter_env, cfg, options);
+  proposer_env.advance(1'000'000);
+  voter_env.advance(1'000'000);
+  proposer.propose(Value{7});
+  proposer_env.advance(2 * kDelta);
+  voter_env.advance(2 * kDelta);
+  proposer.on_message(1, Message{TwoBMsg{0, Value{7}}});
+  voter.on_message(0, Message{DecideMsg{Value{7}}});  // learns, never proposed
+  ASSERT_TRUE(proposer.has_decided());
+  ASSERT_TRUE(voter.has_decided());
+  const auto latency = metrics.log_histogram_snapshot("decision_latency");
+  EXPECT_EQ(latency.count, 1u);
+  EXPECT_EQ(latency.max, 2.0 * kDelta);
+}
+
 TEST(TwoStepUnit, DuplicateFastVotesDoNotDoubleCount) {
   Fixture f{SystemConfig{5, 2, 1}};
   f.proc.propose(Value{7});

@@ -611,7 +611,7 @@ TEST(ObsEndToEnd, FastPathRunEmitsExpectedEventsAndMetrics) {
   EXPECT_EQ(metrics.counter_value("net.sent.Propose"), 6u);
   EXPECT_EQ(metrics.counter_value("net.sent.Decide"), 2u);
   EXPECT_GT(metrics.counter_value("sim.events"), 0u);
-  EXPECT_EQ(metrics.histograms().at("decision_latency").count(), 3u);
+  EXPECT_EQ(metrics.log_histograms().at("decision_latency").count(), 3u);
 
   // Event stream: the first decision is p2's fast one, and a fast_vote
   // transition precedes it (someone voted for p2's proposal).

@@ -303,6 +303,33 @@ TEST(Rsm, DecideMessagesCarryBatchContentsBeforeDecides) {
   EXPECT_TRUE(seen_slot);
 }
 
+TEST(Rsm, DecideMessagesFromASlotResendOnlyTheTail) {
+  // Periodic anti-entropy answers a peer one slot behind with that slot's
+  // Decide and the batch it names, not with the whole decided history.
+  const SystemConfig cfg{3, 1, 1};
+  auto r = make_batched_rsm(cfg, 4, 0);
+  r->cluster().start_all();
+  auto& proc = r->cluster().process(0);
+  for (std::int64_t k = 1; k <= 2; ++k) {
+    proc.submit(k);
+    r->cluster().run();
+  }
+  proc.submit(3);
+  proc.submit(4);
+  r->cluster().run();
+  ASSERT_EQ(proc.decided_slots(), 3);
+  const auto tail = proc.decide_messages(2);
+  ASSERT_EQ(tail.size(), 2u);
+  const auto* contents = std::get_if<BatchContentMsg>(&tail[0]);
+  ASSERT_NE(contents, nullptr);
+  EXPECT_EQ(contents->payloads.size(), 2u);
+  const auto* decide = std::get_if<SlotMsg>(&tail[1]);
+  ASSERT_NE(decide, nullptr);
+  EXPECT_EQ(decide->slot, 2);
+  EXPECT_EQ(std::get<core::DecideMsg>(decide->inner).v, consensus::Value{contents->cmd});
+  EXPECT_GT(proc.decide_messages().size(), tail.size());  // the reconnect path: everything
+}
+
 // ---- slot pipelining -------------------------------------------------------
 
 std::vector<std::pair<std::int32_t, std::int64_t>> run_window(const SystemConfig& cfg,
