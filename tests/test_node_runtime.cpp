@@ -18,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +41,7 @@
 #include "node/local_cluster.hpp"
 #include "node/runtime.hpp"
 #include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "rsm/rsm.hpp"
 #include "transport/wire.hpp"
 
@@ -157,24 +159,49 @@ TEST(LiveConformance, LiveAndSimulatedEnvsAgreeOnTheSameSchedule) {
   }
 }
 
+/// Raises a flag when its process casts a fast (ballot 0) vote, i.e. once
+/// it has received a Propose.  Runs on the process's loop thread.
+class FastVoteSink final : public obs::TraceSink {
+ public:
+  void on_event(const obs::TraceEvent& event) override {
+    if (std::strcmp(event.label, "fast_vote") == 0) voted.store(true);
+  }
+  std::atomic<bool> voted{false};
+};
+
 TEST(LiveConformance, FastPathSurvivesTheRealNetwork) {
   // Unanimous proposals on a 5-replica loopback cluster must produce at
   // least one genuine fast (two-step) decision — the acceptance criterion
   // that the paper's fast path is observable over real sockets, not just
-  // under the simulator's lockstep rounds.
+  // under the simulator's lockstep rounds.  p0 proposes first and the
+  // others propose only after they voted for p0's Propose: proposing all
+  // at once lets each replica vote for whichever Propose reaches it first,
+  // and a split below n - e votes leaves every decision to the slow path.
   const consensus::SystemConfig config(5, 1, 1);
+  std::vector<obs::RunTracer> tracers(config.n, obs::RunTracer(16));
+  std::vector<FastVoteSink> sinks(config.n);
+  for (int p = 0; p < config.n; ++p) tracers[p].set_sink(&sinks[p]);
   node::LocalCluster<core::TwoStepProcess> cluster(
       config.n, [&](consensus::Env<core::Message>& env, obs::MetricsRegistry& reg,
-                    consensus::ProcessId) {
+                    consensus::ProcessId self) {
         core::Options options;
         options.mode = core::Mode::kTask;
         options.delta = kLiveDeltaUs;
         options.leader_of = [] { return consensus::ProcessId{0}; };
         options.probe.metrics = &reg;
+        options.probe.tracer = &tracers[self];
         return std::make_unique<core::TwoStepProcess>(env, config, options);
       });
   ASSERT_TRUE(cluster.wait_for_mesh());
-  for (int p = 0; p < config.n; ++p) cluster.node(p).propose(Value{99});
+  cluster.node(0).propose(Value{99});
+  const auto voted_by = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int p = 1; p < config.n; ++p) {
+    while (!sinks[p].voted.load()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), voted_by);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  for (int p = 1; p < config.n; ++p) cluster.node(p).propose(Value{99});
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   for (;;) {
