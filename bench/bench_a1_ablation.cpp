@@ -84,19 +84,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_FuzzPaperPolicy(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(fuzz_policy(SelectionPolicy::kPaper, 200));
-}
-BENCHMARK(BM_FuzzPaperPolicy)->Unit(benchmark::kMillisecond);
-
-void BM_ScriptedTieScenario(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        lowerbound::task_at_bound_with_policy(2, 2, SelectionPolicy::kPaper)
-            .agreement_violated);
-}
-BENCHMARK(BM_ScriptedTieScenario)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

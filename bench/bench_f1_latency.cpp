@@ -137,16 +137,6 @@ void print_tables() {
   artifact.write();
 }
 
-void BM_ObjectFastPathRun(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_protocol("object", kE).latency_delta);
-}
-BENCHMARK(BM_ObjectFastPathRun)->Unit(benchmark::kMicrosecond);
-
-void BM_PaxosLeaderFailoverRun(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_protocol("paxos", 1).latency_delta);
-}
-BENCHMARK(BM_PaxosLeaderFailoverRun)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

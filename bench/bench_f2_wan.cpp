@@ -145,13 +145,6 @@ void print_tables() {
   artifact.write();
 }
 
-void BM_WanObjectCommit(benchmark::State& state) {
-  std::uint64_t seed = 1;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(object_latency(5, 0, seed++));
-}
-BENCHMARK(BM_WanObjectCommit)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

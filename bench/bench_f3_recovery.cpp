@@ -109,16 +109,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_CrashedProposerRecovery(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(crashed_proposer(2, 2).latency);
-}
-BENCHMARK(BM_CrashedProposerRecovery)->Unit(benchmark::kMicrosecond);
-
-void BM_ContendedRecovery(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(contended(2, 2).latency);
-}
-BENCHMARK(BM_ContendedRecovery)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

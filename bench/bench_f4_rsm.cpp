@@ -140,20 +140,6 @@ void print_tables() {
   twostep::bench::emit(ep);
 }
 
-void BM_RsmBurst(benchmark::State& state) {
-  std::uint64_t seed = 1;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_rsm_burst(static_cast<int>(state.range(0)), seed++).commands);
-}
-BENCHMARK(BM_RsmBurst)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_EPaxosWave(benchmark::State& state) {
-  std::uint64_t seed = 1;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_epaxos_conflicts(0.5, seed++).commands);
-}
-BENCHMARK(BM_EPaxosWave)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

@@ -206,27 +206,6 @@ void print_tables() {
   artifact.write();
 }
 
-void BM_LiveObjectOneShotDecision(benchmark::State& state) {
-  const int n = protocol_n("object");
-  const SystemConfig config{n, kF, kE};
-  const auto make = [=](consensus::Env<core::Message>& env, obs::MetricsRegistry& reg,
-                        ProcessId) {
-    core::Options options;
-    options.mode = core::Mode::kObject;
-    options.delta = kLiveDeltaUs;
-    options.leader_of = [] { return ProcessId{0}; };
-    options.probe.metrics = &reg;
-    return std::make_unique<core::TwoStepProcess>(env, config, options);
-  };
-  obs::LogHistogram rtt;
-  for (auto _ : state) {
-    LiveResult out;
-    live_one_shot_rep<core::TwoStepProcess>(n, make, rtt, out);
-    benchmark::DoNotOptimize(out.voted);
-  }
-}
-BENCHMARK(BM_LiveObjectOneShotDecision)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

@@ -12,25 +12,22 @@
 // Every config runs the same seeded command stream with a small think time
 // so crash rounds land mid-stream.  "recovered slots" counts per-slot
 // acceptor records replayed from WALs across all restarts — the proof the
-// reborn replicas rejoined from disk rather than cold.  "violations" is the
-// agreement check (pairwise applied-log prefix comparison) plus the
-// durability check (every acked command present in the longest log); the
-// paper's safety claims require it to be 0 in every row.
+// reborn replicas rejoined from disk rather than cold.  "violations" counts
+// what node::audit reports (agreement, validity, durability); the paper's
+// safety claims require it to be 0 in every row.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
+#include "node/audit.hpp"
 #include "node/client.hpp"
 #include "node/local_cluster.hpp"
 #include "rsm/rsm.hpp"
-#include "storage/wal.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -141,7 +138,7 @@ Row run_config(const Config& config) {
 
   obs::MetricsRegistry client_metrics;
   node::ClientSession client(cluster.endpoints(), &client_metrics);
-  std::set<std::int64_t> acked;
+  std::vector<std::int64_t> acked;
   const auto start = std::chrono::steady_clock::now();
   if (client.connect()) {
     for (std::int64_t c = 0; c < kCommands; ++c) {
@@ -154,7 +151,7 @@ Row run_config(const Config& config) {
       }
       if (reply->ok) {
         ++row.ok;
-        acked.insert(c);
+        acked.push_back(c);
       }
     }
   } else {
@@ -165,37 +162,12 @@ Row run_config(const Config& config) {
   done.store(true, std::memory_order_relaxed);
   if (driver.joinable()) driver.join();
 
-  // Let the reborn replicas catch up before the safety audit.
-  const auto settle = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    bool all = true;
-    for (int p = 0; p < kN; ++p)
-      if (!cluster.alive(p) ||
-          cluster.node(p).applied_log().size() < static_cast<std::size_t>(row.ok))
-        all = false;
-    if (all || std::chrono::steady_clock::now() >= settle) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  // Safety audit: agreement (pairwise prefix) + durability (every acked
-  // command is in the longest log; payload == command & (2^40 - 1)).
-  std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>> logs;
-  for (int p = 0; p < kN; ++p)
-    logs.push_back(cluster.alive(p) ? cluster.node(p).applied_log()
-                                    : std::vector<std::pair<std::int32_t, std::int64_t>>{});
-  for (int p = 1; p < kN; ++p) {
-    const std::size_t m = std::min(logs[0].size(), logs[static_cast<std::size_t>(p)].size());
-    for (std::size_t i = 0; i < m; ++i)
-      if (logs[0][i] != logs[static_cast<std::size_t>(p)][i]) ++row.violations;
-  }
-  std::size_t longest = 0;
-  for (std::size_t p = 1; p < logs.size(); ++p)
-    if (logs[p].size() > logs[longest].size()) longest = p;
-  std::set<std::int64_t> applied;
-  for (const auto& [slot, cmd] : logs[longest])
-    applied.insert(rsm::RsmProcess::command_payload(cmd));
-  for (const std::int64_t c : acked)
-    if (!applied.contains(c)) ++row.violations;
+  // Let the reborn replicas catch up, then audit.
+  node::drain(cluster, acked);
+  row.violations = static_cast<int>(
+      node::audit(node::applied_logs(cluster), acked,
+                  [](std::int64_t payload) { return payload >= 0 && payload < kCommands; })
+          .size());
 
   cluster.stop();
   obs::MetricsRegistry merged = cluster.merged_metrics();
@@ -256,62 +228,6 @@ void print_tables() {
   bench::emit(t);
   artifact.write();
 }
-
-/// Raw WAL cost: one append+sync per iteration (fsync off — the protocol
-/// overhead of the logging discipline, not the device barrier).
-void BM_WalAppendSync(benchmark::State& state) {
-  TempDir tmp;
-  storage::Wal wal(tmp.path() + "/bench.wal", storage::WalOptions{.fsync = false});
-  const std::vector<std::uint8_t> record(64, 0xAB);
-  for (auto _ : state) {
-    wal.append(record);
-    wal.sync();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_WalAppendSync);
-
-/// One full kill + WAL-recovery + catch-up cycle on a live 3-replica RSM
-/// cluster with a closed-loop client running throughout.
-void BM_LiveKillRecoverCycle(benchmark::State& state) {
-  const SystemConfig system{kN, kF, kE};
-  for (auto _ : state) {
-    state.PauseTiming();
-    TempDir tmp;
-    node::ClusterOptions options;
-    options.storage.dir = tmp.path();
-    options.storage.fsync = false;
-    node::LocalCluster<rsm::RsmProcess> cluster(
-        kN,
-        [&](consensus::Env<rsm::Msg>& env, obs::MetricsRegistry& reg, ProcessId) {
-          rsm::Options rsm_options;
-          rsm_options.delta = kLiveDeltaUs;
-          rsm_options.leader_of = [] { return ProcessId{0}; };
-          rsm_options.probe.metrics = &reg;
-          return std::make_unique<rsm::RsmProcess>(env, system, rsm_options);
-        },
-        options);
-    if (!cluster.wait_for_mesh()) continue;
-    node::ClientSession client(cluster.endpoints(), nullptr);
-    if (!client.connect()) continue;
-    for (std::int64_t c = 0; c < 20; ++c) client.call(c);
-    state.ResumeTiming();
-    cluster.kill(1);
-    for (std::int64_t c = 20; c < 40; ++c) client.call(c);
-    cluster.restart(1);
-    // Post-restart traffic is what triggers the reborn replica's gap fill —
-    // same shape as the LiveRecovery conformance test.
-    for (std::int64_t c = 40; c < 60; ++c) client.call(c);
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (cluster.node(1).applied_log().size() < 60 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    state.PauseTiming();
-    cluster.stop();
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_LiveKillRecoverCycle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

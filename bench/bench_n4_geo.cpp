@@ -257,16 +257,6 @@ void print_tables() {
   artifact.write();
 }
 
-void BM_GeoEpaxosClosedLoop(benchmark::State& state) {
-  const node::ClusterOptions options = geo_cluster_options("us-eu", env_scale());
-  const int n = static_cast<int>(options.chaos.geo->size());
-  for (auto _ : state) {
-    const auto regions = epaxos_cell(n, options, /*conflict=*/false);
-    benchmark::DoNotOptimize(regions.size());
-  }
-}
-BENCHMARK(BM_GeoEpaxosClosedLoop)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

@@ -20,10 +20,9 @@
 //
 // Per phase the artifact reports the maximum gap between consecutive
 // successful commits (the unavailability window, phase edges included) and
-// the RTT distribution.  After the run the chaossoak audit must hold
-// across the change: every live member's applied log slot-aligns with the
-// survivors' (the joiner starts at its snapshot floor), and the joiner
-// must have caught up to the founders' applied head.
+// the RTT distribution.  After the run node::audit must hold across the
+// change (applied logs slot-aligned: the joiner starts at its snapshot
+// floor), and the joiner must have caught up to the founders' applied head.
 //
 // The claim under test (EXPERIMENTS.md § N6): membership changes cost one
 // consensus slot, not an outage — and a dead leader costs one bounded
@@ -43,6 +42,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "node/audit.hpp"
 #include "node/client.hpp"
 #include "node/local_cluster.hpp"
 #include "rsm/rsm.hpp"
@@ -135,6 +135,8 @@ void print_tables() {
   std::atomic<bool> stop{false};
   std::vector<std::pair<std::int64_t, std::int64_t>> commits;  // (offset_us, rtt_us)
   commits.reserve(1 << 16);
+  std::vector<std::int64_t> acked;
+  std::int64_t issued = 0;
   std::int64_t client_lost = 0;
   const auto t0 = std::chrono::steady_clock::now();
   const auto offset_us = [&t0] {
@@ -149,13 +151,15 @@ void print_tables() {
     options.request_timeout_ms = 5'000;
     node::ClientSession client(cluster.endpoints(), &client_metrics, options);
     if (!client.connect()) return;
-    for (std::int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+    for (; !stop.load(std::memory_order_relaxed); ++issued) {
       const std::int64_t before = offset_us();
-      const auto reply = client.call(i);
-      if (reply && reply->ok)
+      const auto reply = client.call(issued);
+      if (reply && reply->ok) {
         commits.emplace_back(offset_us(), offset_us() - before);
-      else
+        acked.push_back(issued);
+      } else {
         ++client_lost;
+      }
     }
   });
 
@@ -176,48 +180,15 @@ void print_tables() {
   client_thread.join();
 
   // Post-run audit: every live member drains to a common applied head (the
-  // joiner from its snapshot floor), and the overlaps agree slot for slot.
-  bool joiner_healed = false;
-  const auto drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (std::chrono::steady_clock::now() < drain_deadline) {
-    std::int32_t founder_head = -1;
-    std::int32_t joiner_head = -1;
-    for (int p = 0; p <= joiner; ++p) {
-      if (p == kVictim || !cluster.alive(p)) continue;
-      const auto log = cluster.node(p).applied_log();
-      const std::int32_t head = log.empty() ? -1 : log.back().first;
-      if (p == joiner)
-        joiner_head = head;
-      else
-        founder_head = std::max(founder_head, head);
-    }
-    joiner_healed = joiner >= 0 && joiner_head >= 0 && joiner_head >= founder_head;
-    if (joiner_healed) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  bool audit_ok = joiner >= 0;
-  std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>> logs;
-  for (int p = 0; p <= joiner && p >= 0; ++p)
-    logs.push_back(cluster.alive(p)
-                       ? cluster.node(p).applied_log()
-                       : std::vector<std::pair<std::int32_t, std::int64_t>>{});
+  // joiner from its snapshot floor), then the shared safety audit.
+  const bool joiner_healed =
+      joiner >= 0 && node::drain(cluster, acked, joiner, std::chrono::seconds(15));
+  const bool audit_ok =
+      joiner >= 0 &&
+      node::audit(node::applied_logs(cluster), acked,
+                  [issued](std::int64_t payload) { return payload >= 0 && payload < issued; })
+          .empty();
   cluster.stop();
-  for (std::size_t p = 1; audit_ok && p < logs.size(); ++p) {
-    const auto& a = logs[0];
-    const auto& b = logs[p];
-    if (a.empty() || b.empty()) continue;
-    std::size_t i = 0, j = 0;
-    if (a.front().first < b.front().first)
-      while (i < a.size() && a[i].first < b.front().first) ++i;
-    else
-      while (j < b.size() && b[j].first < a.front().first) ++j;
-    const std::size_t m = std::min(a.size() - i, b.size() - j);
-    for (std::size_t k = 0; k < m; ++k)
-      if (a[i + k] != b[j + k]) {
-        audit_ok = false;
-        break;
-      }
-  }
 
   // Slice the commit stream into the phase windows.
   const PhaseResult phases_init[] = {

@@ -127,26 +127,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_ChaosRunDrop20(benchmark::State& state) {
-  std::uint64_t seed = kBaseSeed;
-  for (auto _ : state) benchmark::DoNotOptimize(run_trial(0.20, ++seed).latency);
-}
-BENCHMARK(BM_ChaosRunDrop20)->Unit(benchmark::kMicrosecond);
-
-void BM_FaultFreeRunNoPlan(benchmark::State& state) {
-  // Baseline for the "no FaultPlan = one pointer test" claim: the same run
-  // with no plan attached.
-  const SystemConfig cfg{5, 2, 2};
-  for (auto _ : state) {
-    auto r = harness::RunSpec(cfg).delta(kDelta).core(core::Mode::kObject);
-    r->cluster().start_all();
-    r->cluster().propose(0, Value{1000});
-    r->cluster().run();
-    benchmark::DoNotOptimize(r->monitor().has_decided(0));
-  }
-}
-BENCHMARK(BM_FaultFreeRunNoPlan)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

@@ -1,9 +1,7 @@
 // Shared helpers for the benchmark harness binaries.  Every bench prints
 // the markdown rows of the table/figure it regenerates (collected into
-// EXPERIMENTS.md) and then runs its registered google-benchmark timings.
+// EXPERIMENTS.md).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -179,16 +177,16 @@ inline std::map<consensus::ProcessId, consensus::Value> witness_config(
   return initial;
 }
 
-/// The standard bench entry point: print the experiment tables, then run
-/// benchmark timings.
-#define TWOSTEP_BENCH_MAIN(print_tables)                   \
-  int main(int argc, char** argv) {                        \
-    print_tables();                                        \
-    ::benchmark::Initialize(&argc, argv);                  \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                 \
-    ::benchmark::Shutdown();                               \
-    return 0;                                              \
+/// The standard bench entry point: print the experiment tables.  A bench
+/// takes no arguments (its knobs are TWOSTEP_BENCH_* environment variables).
+#define TWOSTEP_BENCH_MAIN(print_tables)                                       \
+  int main(int argc, char** argv) {                                            \
+    if (argc > 1) {                                                            \
+      std::fprintf(stderr, "usage: %s (no arguments; see EXPERIMENTS.md)\n", argv[0]); \
+      return 1;                                                                \
+    }                                                                          \
+    print_tables();                                                            \
+    return 0;                                                                  \
   }
 
 }  // namespace twostep::bench

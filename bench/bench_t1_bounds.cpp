@@ -92,23 +92,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_TaskObligationSweep(benchmark::State& state) {
-  const int e = static_cast<int>(state.range(0));
-  const int f = static_cast<int>(state.range(1));
-  const int n = SystemConfig::min_processes_task(e, f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(task_ok_at(e, f, n));
-  }
-}
-BENCHMARK(BM_TaskObligationSweep)->Args({1, 1})->Args({2, 2})->Unit(benchmark::kMillisecond);
-
-void BM_SplicingAttack(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lowerbound::task_below_bound_violation(2, 2).agreement_violated);
-  }
-}
-BENCHMARK(BM_SplicingAttack)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

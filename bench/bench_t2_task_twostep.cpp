@@ -50,23 +50,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_Item1Sweep(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_item(2, 2, 6, 1).runs);
-}
-BENCHMARK(BM_Item1Sweep)->Unit(benchmark::kMillisecond);
-
-void BM_SingleSynchronousRun(benchmark::State& state) {
-  const SystemConfig cfg{6, 2, 2};
-  for (auto _ : state) {
-    auto r = RunSpec(cfg).core(core::Mode::kTask);
-    consensus::SyncScenario s;
-    s.proposals = consensus::priority_order(twostep::bench::witness_config(6, 5), 5);
-    r->run(s);
-    benchmark::DoNotOptimize(r->monitor().decided_count());
-  }
-}
-BENCHMARK(BM_SingleSynchronousRun)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

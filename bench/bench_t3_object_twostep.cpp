@@ -46,23 +46,6 @@ void print_tables() {
   twostep::bench::emit(t);
 }
 
-void BM_ObjectItem1(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_item(2, 2, 5, 1).runs);
-}
-BENCHMARK(BM_ObjectItem1)->Unit(benchmark::kMillisecond);
-
-void BM_LoneProposerFastPath(benchmark::State& state) {
-  const SystemConfig cfg{5, 2, 2};
-  for (auto _ : state) {
-    auto r = RunSpec(cfg).core(core::Mode::kObject);
-    consensus::SyncScenario s;
-    s.proposals = {{2, consensus::Value{7}}};
-    r->run(s);
-    benchmark::DoNotOptimize(r->monitor().decided_count());
-  }
-}
-BENCHMARK(BM_LoneProposerFastPath)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

@@ -113,19 +113,6 @@ void print_tables() {
     std::printf("  - %s\n", line.c_str());
 }
 
-void BM_TaskAttack(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(lowerbound::task_below_bound_violation(2, 2).agreement_violated);
-}
-BENCHMARK(BM_TaskAttack)->Unit(benchmark::kMicrosecond);
-
-void BM_ObjectAttack(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        lowerbound::object_below_bound_violation(3, 3).agreement_violated);
-}
-BENCHMARK(BM_ObjectAttack)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 TWOSTEP_BENCH_MAIN(print_tables)

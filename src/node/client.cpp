@@ -243,10 +243,12 @@ ClientSession::WorkloadResult ClientSession::run_closed_loop(
       if (!connected()) break;  // cluster unreachable even after failover
       continue;
     }
-    if (reply->ok)
+    if (reply->ok) {
       ++result.ok;
-    else
+      result.acked.push_back(payload);
+    } else {
       ++result.rejected;
+    }
   }
   result.timeouts = timeouts_ - timeouts0;
   result.conn_lost = conn_lost_ - conn_lost0;

@@ -101,6 +101,7 @@ class ClientSession {
     /// RTT distribution of this window's answered calls (count/mean/min/
     /// max and p50..p999), from the session's log-bucketed histogram.
     obs::HistogramSnapshot rtt;
+    std::vector<std::int64_t> acked;  ///< payloads of the ok-answered calls
 
     /// One machine-readable line: the counters plus the rtt quantiles.
     [[nodiscard]] std::string to_json() const;

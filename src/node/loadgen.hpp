@@ -91,11 +91,13 @@ class OpenLoopLoadgen {
   /// Runs the workload to completion and returns the curve point.
   LoadResult run();
 
-  /// Commands issued per session so far (index = session).  The audit
-  /// reconstructs the full issued-payload set from these counts: session i
-  /// issued payloads (i << 28 | seq) for seq in [0, issued_per_session[i]).
-  [[nodiscard]] const std::vector<std::int64_t>& issued_per_session() const noexcept {
-    return issued_per_session_;
+  /// Whether this generator issued `payload` (validity audit input):
+  /// session i issues payloads (i << 28 | seq) for seq = 0, 1, ...
+  [[nodiscard]] bool issued(std::int64_t payload) const noexcept {
+    const std::int64_t session = payload >> 28;
+    return payload >= 0 && session < static_cast<std::int64_t>(issued_per_session_.size()) &&
+           (payload & ((std::int64_t{1} << 28) - 1)) <
+               issued_per_session_[static_cast<std::size_t>(session)];
   }
   /// Payloads of every ok-answered command (durability audit input).
   [[nodiscard]] const std::vector<std::int64_t>& acked_payloads() const noexcept {

@@ -243,22 +243,25 @@ class LocalCluster {
   bool wait_for_mesh(std::int64_t timeout_ms = 5'000) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    // Held throughout, so the replica waited on cannot be killed under the
+    // wait: kill/restart/add_replica from other threads wait for the mesh.
+    const std::lock_guard<std::mutex> lock(nodes_mu_);
     for (;;) {
       int live = 0;
-      bool full = true;
-      {
-        const std::lock_guard<std::mutex> lock(nodes_mu_);
-        for (std::size_t i = 0; i < nodes_.size(); ++i)
-          if (nodes_[i] && !removed_.contains(static_cast<int>(i))) ++live;
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          const auto& node = nodes_[i];
-          if (!node || removed_.contains(static_cast<int>(i))) continue;
-          if (node->connected_out() < live - 1 || node->connected_in() < live - 1) full = false;
-        }
+      for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i] && !removed_.contains(static_cast<int>(i))) ++live;
+      // Sleep on the first replica short of the mesh until its link counts
+      // move; the mesh cannot form before they do.
+      const Runtime<P>* lagging = nullptr;
+      std::uint64_t seen = 0;
+      for (std::size_t i = 0; i < nodes_.size() && !lagging; ++i) {
+        const Runtime<P>* node = nodes_[i].get();
+        if (!node || removed_.contains(static_cast<int>(i))) continue;
+        seen = node->links_version();
+        if (node->connected_out() < live - 1 || node->connected_in() < live - 1) lagging = node;
       }
-      if (full) return true;
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!lagging) return true;
+      if (!lagging->await_links_change(seen, deadline)) return false;
     }
   }
 
