@@ -85,9 +85,8 @@ void OpenLoopLoadgen::issue_one() {
   next_session_ = (next_session_ + 1) % options_.sessions;
   const std::int64_t seq = issued_per_session_[static_cast<std::size_t>(session)]++;
   const std::int64_t id = (static_cast<std::int64_t>(session) << 32) | seq;
-  // Timed from the due instant, not the send: a pump that wakes late (loop
-  // timers fire up to a millisecond late) must not hide that wait from the
-  // RTT.  Called before next_arrival_us_ advances past this arrival.
+  // Timed from the due instant, not the send: a pump that wakes late (a
+  // busy loop runs its timers late) must not hide that wait from the RTT.  Called before next_arrival_us_ advances past this arrival.
   Pending p{session, (static_cast<std::int64_t>(session) << 28) | seq,
             static_cast<std::int64_t>(next_arrival_us_)};
   send_request(session, id, p);

@@ -1,6 +1,7 @@
 #include "rsm/rsm.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <ranges>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +13,9 @@ using consensus::TimerId;
 using consensus::Value;
 
 /// Env adapter presented to one slot's consensus instance: tags outgoing
-/// messages with the slot and routes timers through the host.
+/// messages with the slot and routes timers through the host.  The
+/// instance arms at most one timer at a time (its ballot timer, re-armed
+/// only as it fires), so the adapter remembers it and can cancel it.
 struct RsmProcess::SlotEnv final : consensus::Env<core::Message> {
   SlotEnv(RsmProcess& host, std::int32_t slot) : host_(host), slot_(slot) {}
 
@@ -30,17 +33,25 @@ struct RsmProcess::SlotEnv final : consensus::Env<core::Message> {
 
   TimerId set_timer(sim::Tick delay) override {
     const TimerId id = host_.env_.set_timer(delay);
-    host_.timer_routes_[id.value] = {slot_, id};
+    host_.timer_routes_[id.value] = slot_;
+    armed_ = id;
     return id;
   }
 
   void cancel_timer(TimerId id) override {
     host_.env_.cancel_timer(id);
     host_.timer_routes_.erase(id.value);
+    if (armed_ && armed_->value == id.value) armed_.reset();
+  }
+
+  /// Cancels the armed timer, if any: a decided or dropped slot needs none.
+  void disarm() {
+    if (armed_) cancel_timer(*armed_);
   }
 
   RsmProcess& host_;
   std::int32_t slot_;
+  std::optional<TimerId> armed_;
 };
 
 RsmProcess::RsmProcess(consensus::Env<Message>& env, consensus::SystemConfig config,
@@ -338,10 +349,12 @@ void RsmProcess::on_timer(TimerId id) {
   }
   const auto it = timer_routes_.find(id.value);
   if (it == timer_routes_.end()) return;
-  const std::int32_t slot = it->second.first;
+  const std::int32_t slot = it->second;
   timer_routes_.erase(it);
   dirty_slots_.insert(slot);
-  ensure_slot(slot).proc->on_timer(id);
+  SlotState& state = ensure_slot(slot);
+  state.env->armed_.reset();
+  state.proc->on_timer(id);
 }
 
 std::vector<std::int32_t> RsmProcess::drain_dirty_slots() {
@@ -367,6 +380,11 @@ const core::TwoStepProcess* RsmProcess::slot_process(std::int32_t slot) const {
   return it == slots_.end() ? nullptr : it->second.proc.get();
 }
 
+bool RsmProcess::ballot_timer_armed(std::int32_t slot) const {
+  const auto it = slots_.find(slot);
+  return it != slots_.end() && it->second.env->armed_.has_value();
+}
+
 const std::vector<std::int64_t>* RsmProcess::batch_contents(Command cmd) const {
   const auto it = batch_contents_.find(cmd);
   return it == batch_contents_.end() ? nullptr : &it->second;
@@ -382,8 +400,11 @@ void RsmProcess::restore_slot(std::int32_t slot, const core::TwoStepProcess::Acc
   // snapshot barrier seals everything logged before capture), but guard
   // anyway: resurrecting a summarized slot would undo compaction.
   if (slot < floor_ && !slots_.contains(slot)) return;
-  ensure_slot(slot).proc->restore(s);
-  if (!s.decided.is_bottom() && !decisions_.contains(slot)) {
+  SlotState& state = ensure_slot(slot);
+  state.proc->restore(s);
+  if (s.decided.is_bottom()) return;
+  state.env->disarm();
+  if (!decisions_.contains(slot)) {
     decisions_[slot] = s.decided.get();
     if (on_decide_slot) on_decide_slot(slot, s.decided.get());
     apply_contiguous();
@@ -403,6 +424,9 @@ void RsmProcess::restore_config(Command cmd, const ConfigChange& change) {
 }
 
 void RsmProcess::slot_decided(std::int32_t slot, Value v) {
+  // A decided instance ignores its ballot timer, so cancel it now rather
+  // than let it wake the host 2Δ later for nothing.
+  if (const auto it = slots_.find(slot); it != slots_.end()) it->second.env->disarm();
   if (decisions_.contains(slot)) return;
   const Command decided = v.get();
   decisions_[slot] = decided;
@@ -573,16 +597,10 @@ void RsmProcess::compact_to(std::int32_t floor) {
   floor_ = floor;
   if (submit_cursor_ < floor_) submit_cursor_ = floor_;
 
-  // Timers routed to dropped slots would fire into nothing; cancel them.
-  for (auto it = timer_routes_.begin(); it != timer_routes_.end();) {
-    if (it->second.first < floor_) {
-      env_.cancel_timer(it->second.second);
-      it = timer_routes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  slots_.erase(slots_.begin(), slots_.lower_bound(floor_));
+  // Timers of dropped slots would fire into nothing; cancel them.
+  const auto dropped_end = slots_.lower_bound(floor_);
+  for (auto it = slots_.begin(); it != dropped_end; ++it) it->second.env->disarm();
+  slots_.erase(slots_.begin(), dropped_end);
   dirty_slots_.erase(dirty_slots_.begin(), dirty_slots_.lower_bound(floor_));
 
   // Batch and config contents fall with their decision unless a surviving
@@ -621,16 +639,11 @@ void RsmProcess::rebuild_slots_from(std::int32_t boundary) {
   for (auto it = slots_.lower_bound(boundary); it != slots_.end(); ++it)
     carry.emplace_back(it->first, it->second.proc->acceptor_state());
   for (const auto& [slot, state] : carry) {
-    for (auto tit = timer_routes_.begin(); tit != timer_routes_.end();) {
-      if (tit->second.first == slot) {
-        env_.cancel_timer(tit->second.second);
-        tit = timer_routes_.erase(tit);
-      } else {
-        ++tit;
-      }
-    }
+    slots_.at(slot).env->disarm();
     slots_.erase(slot);
-    ensure_slot(slot).proc->restore(state);
+    SlotState& rebuilt = ensure_slot(slot);
+    rebuilt.proc->restore(state);
+    if (!state.decided.is_bottom()) rebuilt.env->disarm();
     dirty_slots_.insert(slot);
   }
 }

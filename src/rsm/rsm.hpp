@@ -30,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -248,6 +249,10 @@ class RsmProcess {
   /// touched locally.
   [[nodiscard]] const core::TwoStepProcess* slot_process(std::int32_t slot) const;
 
+  /// True while the slot's consensus instance has a ballot timer armed.
+  /// A decided slot never has one.
+  [[nodiscard]] bool ballot_timer_armed(std::int32_t slot) const;
+
   /// Contents of a batch handle, or null if unknown here.
   [[nodiscard]] const std::vector<std::int64_t>* batch_contents(Command cmd) const;
 
@@ -415,7 +420,7 @@ class RsmProcess {
   std::map<std::int32_t, SlotState> slots_;
   std::set<std::int32_t> dirty_slots_;
   std::map<std::int32_t, Command> decisions_;
-  std::map<std::uint64_t, std::pair<std::int32_t, consensus::TimerId>> timer_routes_;
+  std::unordered_map<std::uint64_t, std::int32_t> timer_routes_;  ///< ballot timer id -> slot
   std::deque<PendingCommand> pending_;
   OpenBatch open_batch_;
   std::map<Command, std::vector<std::int64_t>> batch_contents_;

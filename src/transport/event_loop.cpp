@@ -2,10 +2,14 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
@@ -20,6 +24,45 @@ std::int64_t monotonic_ns() {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
+
+/// Blocks in epoll for up to `timeout_us` µs (-1 = no limit).  Kernels
+/// before 5.11, and sandboxes that filter the call, lack epoll_pwait2;
+/// there the wait falls back to epoll_wait with the timeout rounded up to
+/// whole ms, so a timer may fire up to 1 ms late but never early.
+int wait_for_events(int epoll_fd, epoll_event* events, int max_events, std::int64_t timeout_us) {
+  static std::atomic<bool> no_pwait2{false};
+  if (!no_pwait2.load(std::memory_order_relaxed)) {
+    timespec timeout{};
+    timeout.tv_sec = static_cast<time_t>(timeout_us / 1'000'000);
+    timeout.tv_nsec = static_cast<long>(timeout_us % 1'000'000) * 1000;
+    const int ready =
+        ::epoll_pwait2(epoll_fd, events, max_events, timeout_us < 0 ? nullptr : &timeout, nullptr);
+    if (ready >= 0 || (errno != ENOSYS && errno != EPERM)) return ready;
+    no_pwait2.store(true, std::memory_order_relaxed);
+  }
+  const std::int64_t timeout_ms = timeout_us < 0 ? -1 : (timeout_us + 999) / 1000;
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>(std::min<std::int64_t>(timeout_ms, INT_MAX)));
+}
+
+/// Sets the calling thread's timer slack to 1 ns while the guard lives and
+/// restores the previous slack after.  The default 50 µs slack lets the
+/// kernel end a µs-precise epoll wait up to 50 µs late.
+class TimerSlackGuard {
+ public:
+  TimerSlackGuard() : previous_ns_(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0)) {
+    ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
+  }
+  ~TimerSlackGuard() {
+    if (previous_ns_ > 0)
+      ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(previous_ns_), 0, 0, 0);
+  }
+  TimerSlackGuard(const TimerSlackGuard&) = delete;
+  TimerSlackGuard& operator=(const TimerSlackGuard&) = delete;
+
+ private:
+  int previous_ns_;
+};
 
 }  // namespace
 
@@ -75,12 +118,19 @@ void EventLoop::del_fd(int fd) {
 std::uint64_t EventLoop::schedule_after(std::int64_t delay_us, Task fn) {
   if (delay_us < 0) delay_us = 0;
   const std::uint64_t id = next_timer_id_++;
-  timer_heap_.push(TimerEntry{now_us() + delay_us, id});
-  timers_.emplace(id, std::move(fn));
+  const std::int64_t deadline_us = now_us() + delay_us;
+  timers_.emplace(TimerKey{deadline_us, id}, std::move(fn));
+  deadlines_.emplace(id, deadline_us);
   return id;
 }
 
-bool EventLoop::cancel_timer(std::uint64_t id) { return timers_.erase(id) > 0; }
+bool EventLoop::cancel_timer(std::uint64_t id) {
+  const auto it = deadlines_.find(id);
+  if (it == deadlines_.end()) return false;
+  timers_.erase(TimerKey{it->second, id});
+  deadlines_.erase(it);
+  return true;
+}
 
 void EventLoop::post(Task fn) {
   {
@@ -117,20 +167,11 @@ void EventLoop::run_posted() {
 
 void EventLoop::fire_due_timers() {
   const std::int64_t now = now_us();
-  while (!timer_heap_.empty() && timer_heap_.top().deadline_us <= now) {
-    const std::uint64_t id = timer_heap_.top().id;
-    timer_heap_.pop();
-    const auto it = timers_.find(id);
-    if (it == timers_.end()) continue;  // cancelled
-    Task fn = std::move(it->second);
-    timers_.erase(it);
-    fn();
+  while (!timers_.empty() && timers_.begin()->first.first <= now) {
+    auto due = timers_.extract(timers_.begin());
+    deadlines_.erase(due.key().second);
+    due.mapped()();
   }
-}
-
-void EventLoop::drain_cancelled_timers() {
-  // Skip over lazily-cancelled heap tops so a dead timer never wakes us.
-  while (!timer_heap_.empty() && !timers_.contains(timer_heap_.top().id)) timer_heap_.pop();
 }
 
 void EventLoop::at_round_end(Task fn) { round_end_.push_back(std::move(fn)); }
@@ -143,13 +184,9 @@ void EventLoop::run_round_end() {
   for (Task& task : batch) task();
 }
 
-int EventLoop::next_timeout_ms() {
-  drain_cancelled_timers();
-  if (timer_heap_.empty()) return -1;
-  const std::int64_t delta_us = timer_heap_.top().deadline_us - now_us();
-  if (delta_us <= 0) return 0;
-  // Round up so we never spin on an almost-due timer.
-  return static_cast<int>((delta_us + 999) / 1000);
+std::int64_t EventLoop::next_timeout_us() const {
+  if (timers_.empty()) return -1;
+  return std::max<std::int64_t>(timers_.begin()->first.first - now_us(), 0);
 }
 
 void EventLoop::run() {
@@ -158,6 +195,7 @@ void EventLoop::run() {
   // Timing is only measured when the probe asks for it: the unprobed loop
   // reads no clocks beyond what dispatch itself needs.
   const bool timed = probe_.poll_us != nullptr || probe_.work_us != nullptr;
+  const TimerSlackGuard slack;
   std::int64_t work_start_us = timed ? now_us() : 0;
   while (!stop_.load(std::memory_order_relaxed)) {
     run_posted();
@@ -165,20 +203,20 @@ void EventLoop::run() {
     if (probe_.timer_depth) probe_.timer_depth->record(static_cast<std::int64_t>(timers_.size()));
     run_round_end();
     if (stop_.load(std::memory_order_relaxed)) break;
-    const int timeout = next_timeout_ms();
+    const std::int64_t timeout_us = next_timeout_us();
     std::int64_t poll_start_us = 0;
     if (timed) {
       poll_start_us = now_us();
       if (probe_.work_us) probe_.work_us->record(poll_start_us - work_start_us);
     }
-    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
+    const int ready = wait_for_events(epoll_fd_, events, kMaxEvents, timeout_us);
     if (timed) {
       work_start_us = now_us();
       if (probe_.poll_us) probe_.poll_us->record(work_start_us - poll_start_us);
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      throw std::system_error(errno, std::generic_category(), "epoll_wait");
+      throw std::system_error(errno, std::generic_category(), "epoll wait");
     }
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;

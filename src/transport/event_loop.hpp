@@ -1,10 +1,11 @@
 // Non-blocking I/O event loop for the live node runtime.
 //
-// A minimal epoll reactor: level-triggered fd callbacks, a monotonic-clock
-// timer heap, and a thread-safe post() queue woken through an eventfd.  One
-// loop = one thread: every callback runs on the thread inside run(); the
-// only cross-thread entry points are post() and request_stop() (the latter
-// additionally async-signal-safe, so a SIGINT handler can stop a server).
+// A minimal epoll reactor: level-triggered fd callbacks, monotonic-clock
+// timers kept in deadline order, and a thread-safe post() queue woken
+// through an eventfd.  One loop = one thread: every callback runs on the
+// thread inside run(); the only cross-thread entry points are post() and
+// request_stop() (the latter additionally async-signal-safe, so a SIGINT
+// handler can stop a server).
 //
 // Time is exposed as microseconds since loop construction, which is what the
 // live consensus::Env reports as sim::Tick — the protocols run on the same
@@ -15,10 +16,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -28,11 +30,11 @@ namespace twostep::transport {
 /// Optional loop self-instrumentation.  All pointers null (the default)
 /// costs one branch per loop iteration and zero clock reads; with
 /// histograms installed, each wakeup records how long the loop blocked in
-/// epoll_wait, how long the dispatch work took, and the timer/posted queue
+/// epoll, how long the dispatch work took, and the timer/posted queue
 /// depths it saw.  Install before run() starts; the histograms are
 /// internally thread-safe.
 struct LoopProbe {
-  obs::LogHistogram* poll_us = nullptr;      ///< time blocked in epoll_wait
+  obs::LogHistogram* poll_us = nullptr;      ///< time blocked in epoll
   obs::LogHistogram* work_us = nullptr;      ///< non-blocking dispatch time per wakeup
   obs::LogHistogram* timer_depth = nullptr;  ///< armed timers, sampled per iteration
   obs::LogHistogram* posted_depth = nullptr; ///< posted tasks drained per iteration
@@ -62,27 +64,28 @@ class EventLoop {
   /// usable with cancel_timer.  Loop-thread only.
   std::uint64_t schedule_after(std::int64_t delay_us, Task fn);
 
-  /// Cancels a pending timer; false if it already fired or is unknown.
+  /// Cancels a pending timer and forgets it at once; false if it already
+  /// fired or is unknown.
   bool cancel_timer(std::uint64_t id);
 
   /// Enqueues `fn` to run on the loop thread.  Thread-safe; wakes the loop.
   void post(Task fn);
 
   /// Enqueues `fn` to run once at the end of the current dispatch round,
-  /// before the loop blocks in epoll_wait again.  Loop-thread only.  The
+  /// before the loop blocks in epoll again.  Loop-thread only.  The
   /// transport uses this to coalesce every frame queued during one round
   /// into a single vectored flush per connection.
   void at_round_end(Task fn);
 
-  /// The epoll timeout the loop would use right now, in ms (-1 = no timer).
-  /// Drains lazily-cancelled timer-heap entries first — the same fix the
-  /// simulator's scheduler got in PR 2: a pile of cancelled timers at the
-  /// top of the heap must not manufacture spurious zero-timeout wakeups.
-  /// Exposed for regression tests.
-  [[nodiscard]] int next_timeout_hint_ms() { return next_timeout_ms(); }
+  /// How long the loop would block right now, in µs (-1 = no timer, 0 = a
+  /// timer is due).  Exposed for regression tests.
+  [[nodiscard]] std::int64_t next_timeout_hint_us() const { return next_timeout_us(); }
 
   /// Dispatches events until request_stop().  Runs posted tasks, due timers
-  /// and fd callbacks; blocks in epoll_wait when idle.
+  /// and fd callbacks; blocks in epoll_pwait2 when idle, with a µs timeout.
+  /// The calling thread's timer slack is 1 ns while it runs, so a wait
+  /// ends within a few µs of its timer's deadline; the thread's previous
+  /// slack is restored on return.
   void run();
 
   /// Requests run() to return after the current dispatch round.  Safe from
@@ -98,23 +101,15 @@ class EventLoop {
   }
 
  private:
-  struct TimerEntry {
-    std::int64_t deadline_us;
-    std::uint64_t id;
-    bool operator>(const TimerEntry& o) const noexcept {
-      return deadline_us != o.deadline_us ? deadline_us > o.deadline_us : id > o.id;
-    }
-  };
+  /// (deadline, id): deadline order, ties in scheduling order.
+  using TimerKey = std::pair<std::int64_t, std::uint64_t>;
 
   void drain_wake_fd();
   void run_posted();
   void fire_due_timers();
   void run_round_end();
-  /// Pops cancelled entries off the top of the timer heap so they cannot
-  /// influence the epoll timeout.
-  void drain_cancelled_timers();
-  /// epoll_wait timeout until the next timer, in ms; -1 when no timer.
-  [[nodiscard]] int next_timeout_ms();
+  /// µs until the earliest timer, unrounded; 0 when due, -1 when no timer.
+  [[nodiscard]] std::int64_t next_timeout_us() const;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -124,8 +119,8 @@ class EventLoop {
   // cannot free the std::function currently executing.
   std::unordered_map<int, std::shared_ptr<FdCallback>> fds_;
 
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<>> timer_heap_;
-  std::unordered_map<std::uint64_t, Task> timers_;  ///< armed (not cancelled)
+  std::map<TimerKey, Task> timers_;                          ///< armed, earliest first
+  std::unordered_map<std::uint64_t, std::int64_t> deadlines_;  ///< id -> deadline_us
   std::uint64_t next_timer_id_ = 1;
 
   std::mutex post_mu_;

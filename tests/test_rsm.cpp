@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "consensus/scenario.hpp"
@@ -172,6 +173,45 @@ TEST_P(RsmPartialSynchrony, LogsConvergeAcrossSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RsmPartialSynchrony, ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(Rsm, DecidedSlotsHoldNoBallotTimer) {
+  // A decided instance ignores its ballot timer, so the host cancels the
+  // timer when the slot decides.  Pausing the run every 25 ticks, no
+  // decided slot may still hold one.  Cancelling them changes nothing the
+  // protocol does: the applied log is the one this scenario produced while
+  // decided slots still kept their timers (same seed).
+  const SystemConfig cfg{5, 2, 2};
+  auto r = make_rsm(cfg, std::make_unique<net::PartialSynchrony>(1500, kDelta, 1000), 5);
+  auto& c = r->cluster();
+  c.start_all();
+  std::int64_t payload = 1;
+  for (int round = 0; round < 3; ++round)
+    for (ProcessId p = 0; p < cfg.n; ++p) c.process(p).submit(payload++);
+  c.crash_at(400, 4);
+  int decided_seen = 0;
+  std::vector<std::string> armed;
+  for (sim::Tick t = 25; t <= 20'000; t += 25) {
+    c.run_until(t);
+    for (ProcessId p = 0; p < 4; ++p)
+      for (std::int32_t s = 0; s < 32; ++s) {
+        if (!c.process(p).decision(s)) continue;
+        ++decided_seen;
+        if (c.process(p).ballot_timer_armed(s))
+          armed.push_back("p" + std::to_string(p) + " slot " + std::to_string(s) + " at " +
+                          std::to_string(t));
+      }
+  }
+  c.run();
+  EXPECT_GT(decided_seen, 0);
+  EXPECT_TRUE(armed.empty()) << armed.size() << " decided slots kept a timer, first "
+                             << armed.front();
+  std::vector<std::int64_t> log;
+  for (const auto& [slot, cmd] : c.process(0).applied_entries())
+    log.push_back(RsmProcess::command_payload(cmd));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 6, 11, 8, 3, 13, 7, 9, 4, 12, 2, 14}));
+  for (ProcessId p = 1; p < 4; ++p)
+    EXPECT_EQ(c.process(p).applied_entries(), c.process(0).applied_entries()) << "p" << p;
+}
 
 TEST(Rsm, RejectsOversizedPayload) {
   const SystemConfig cfg{3, 1, 1};

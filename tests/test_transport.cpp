@@ -312,19 +312,16 @@ TEST(TransportTcp, AcceptedSocketsDisableNagle) {
 }
 
 TEST(TransportLoop, CancelledTimersDoNotInflateTheEpollTimeout) {
-  // The live mirror of the simulator's lazily-cancelled-timer fix (PR 2):
-  // cancelled heap entries must be drained before computing the epoll
-  // timeout, or a pile of near-deadline cancelled timers makes the loop
-  // spin (hint 0) — and, symmetrically, a cancelled NEAR timer must not
-  // hide a FAR live one.
+  // A cancelled NEAR timer must not hide a FAR live one: cancellation
+  // removes the timer at once, so the hint reflects the far one.  At 1 h
+  // the hint (3.6e9 µs) is also past INT_MAX, so it must not overflow.
   transport::EventLoop loop;
   const std::uint64_t near = loop.schedule_after(5'000, [] {});
   loop.schedule_after(3'600'000'000, [] {});  // 1 h, effectively "far"
   EXPECT_TRUE(loop.cancel_timer(near));
-  // With the near timer cancelled, the hint must reflect the far one, not
-  // the stale heap top.
-  const int hint = loop.next_timeout_hint_ms();
-  EXPECT_GT(hint, 1'000'000) << "cancelled timer still drives the timeout";
+  const std::int64_t hint = loop.next_timeout_hint_us();
+  EXPECT_GT(hint, 3'500'000'000) << "cancelled timer still drives the timeout";
+  EXPECT_LE(hint, 3'600'000'000);
 }
 
 TEST(TransportLoop, AllTimersCancelledMeansBlockingWait) {
@@ -332,7 +329,33 @@ TEST(TransportLoop, AllTimersCancelledMeansBlockingWait) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 64; ++i) ids.push_back(loop.schedule_after(1'000 + i, [] {}));
   for (const std::uint64_t id : ids) EXPECT_TRUE(loop.cancel_timer(id));
-  EXPECT_EQ(loop.next_timeout_hint_ms(), -1) << "empty-after-drain heap must block indefinitely";
+  EXPECT_EQ(loop.next_timeout_hint_us(), -1) << "no armed timer must block indefinitely";
+}
+
+TEST(TransportLoop, SubMillisecondTimeoutIsNotRoundedUp) {
+  // The wait until a 250 µs timer is at most 250 µs, not a whole ms.
+  transport::EventLoop loop;
+  loop.schedule_after(250, [] {});
+  const std::int64_t hint = loop.next_timeout_hint_us();
+  EXPECT_GT(hint, 0);
+  EXPECT_LE(hint, 250);
+}
+
+TEST(TransportLoop, SubMillisecondTimersFireInDeadlineOrderAndNeverEarly) {
+  transport::EventLoop loop;
+  std::vector<std::int64_t> delays;
+  std::vector<std::int64_t> early;
+  const std::int64_t armed_at = loop.now_us();
+  for (const std::int64_t delay : {700, 100, 400, 250, 550}) {
+    loop.schedule_after(delay, [&, delay] {
+      delays.push_back(delay);
+      if (loop.now_us() < armed_at + delay) early.push_back(delay);
+    });
+  }
+  loop.schedule_after(900, [&] { loop.request_stop(); });
+  loop.run();
+  EXPECT_EQ(delays, (std::vector<std::int64_t>{100, 250, 400, 550, 700}));
+  EXPECT_TRUE(early.empty()) << "a timer fired before its deadline";
 }
 
 // ---- directed-link blackholes (chaos) -------------------------------------
