@@ -114,6 +114,7 @@ LatencyMatrix LatencyMatrix::from_file(const std::string& path, double scale) {
       if (regions.empty()) bad("'regions' names no regions");
     } else if (first == "jitter_us") {
       if (!(tokens >> jitter_us) || jitter_us < 0) bad("'jitter_us' needs a value >= 0");
+      if (std::string rest; tokens >> rest) bad("trailing '" + rest + "' after 'jitter_us' value");
     } else {
       if (regions.empty()) bad("matrix row before 'regions' line");
       std::vector<std::int64_t> row;

@@ -145,6 +145,20 @@ TEST(LatencyMatrix, FromFileRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(LatencyMatrix, FromFileRejectsTrailingJitterTokens) {
+  // A separate token and one glued to the number: both used to parse as 5.
+  for (const char* jitter : {"jitter_us 5 junk", "jitter_us 5abc"}) {
+    const std::string path = write_temp_matrix(
+        "geo-jitter-junk.txt", std::string("regions a b\n") + jitter + "\n0 1\n1 0\n");
+    try {
+      (void)LatencyMatrix::from_file(path);
+      ADD_FAILURE() << "accepted '" << jitter << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(LatencyMatrix, FromSpecPrefersPresetsThenFiles) {
   EXPECT_EQ(LatencyMatrix::from_spec("us-eu").size(), 4u);
   const std::string path =
