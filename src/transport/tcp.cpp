@@ -339,6 +339,12 @@ void PeerLink::shutdown() {
   pending_.clear();
 }
 
+void PeerLink::redial_now() {
+  if (stopped_ || retry_timer_ == 0) return;  // connected, dialing, or shut down
+  loop_.cancel_timer(retry_timer_);
+  attempt_connect();
+}
+
 void PeerLink::attempt_connect() {
   if (stopped_) return;
   retry_timer_ = 0;
