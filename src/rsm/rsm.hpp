@@ -312,13 +312,12 @@ class RsmProcess {
   /// slot, in slot order, preceded by the contents of every decided batch
   /// handle we know (a peer that learns a decision it cannot expand would
   /// otherwise stall until fetch kicks in).  Resent by the live runtime
-  /// whenever a peer link (re)establishes — the transport's disconnected
-  /// queue is bounded, so a replica that was down through many decisions
-  /// needs this anti-entropy pass to fill its log gaps (its own ballot
-  /// timers cannot: only the Ω leader starts ballots, and a decided leader
-  /// has nothing left to run).  The periodic catch-up passes the peer's
-  /// gossiped applied prefix as `from_slot`, so only the decisions at or
-  /// above it (and their contents) travel.
+  /// to a peer behind us — the transport's disconnected queue is bounded,
+  /// so a replica that was down through many decisions needs this
+  /// anti-entropy pass to fill its log gaps (its own ballot timers cannot:
+  /// only the Ω leader starts ballots, and a decided leader has nothing
+  /// left to run).  `from_slot` is the peer's applied prefix (from its
+  /// Catchup frame), so only the decisions at or above it travel.
   [[nodiscard]] std::vector<Message> decide_messages(std::int32_t from_slot = 0) const;
 
   // --- configuration ---
