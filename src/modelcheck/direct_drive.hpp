@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "consensus/env.hpp"
@@ -46,6 +47,7 @@ class DirectDrive {
   DirectDrive(consensus::SystemConfig config, Factory factory) : config_(config) {
     if (!factory) throw std::invalid_argument("DirectDrive: null factory");
     crashed_.assign(static_cast<std::size_t>(config_.n), false);
+    armed_.assign(static_cast<std::size_t>(config_.n), 0);
     envs_.reserve(static_cast<std::size_t>(config_.n));
     for (consensus::ProcessId p = 0; p < config_.n; ++p)
       envs_.push_back(std::make_unique<DriveEnv>(*this, p));
@@ -61,7 +63,11 @@ class DirectDrive {
   [[nodiscard]] P& process(consensus::ProcessId p) {
     return *processes_.at(static_cast<std::size_t>(p));
   }
+  [[nodiscard]] const P& process(consensus::ProcessId p) const {
+    return *processes_.at(static_cast<std::size_t>(p));
+  }
   [[nodiscard]] consensus::ConsensusMonitor& monitor() noexcept { return monitor_; }
+  [[nodiscard]] const consensus::ConsensusMonitor& monitor() const noexcept { return monitor_; }
   [[nodiscard]] bool crashed(consensus::ProcessId p) const {
     return crashed_.at(static_cast<std::size_t>(p));
   }
@@ -95,7 +101,7 @@ class DirectDrive {
   /// a message to a crashed process is consumed without effect.
   void deliver_index(std::size_t i) {
     if (i >= pool_.size()) throw std::out_of_range("DirectDrive: no such pending message");
-    const Pending m = pool_[i];
+    const Pending m = std::move(pool_[i]);
     pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(i));
     ++step_;
     if (!crashed(m.to)) process(m.to).on_message(m.from, m.msg);
@@ -184,10 +190,7 @@ class DirectDrive {
 
   /// Number of armed timers at p.
   [[nodiscard]] int armed_timers(consensus::ProcessId p) const {
-    int k = 0;
-    for (const auto& t : timers_)
-      if (t.owner == p) ++k;
-    return k;
+    return armed_.at(static_cast<std::size_t>(p));
   }
 
   /// Fires p's oldest armed timer.  Returns false if p has none or crashed.
@@ -196,6 +199,7 @@ class DirectDrive {
       if (timers_[i].owner != p) continue;
       const consensus::TimerId id = timers_[i].id;
       timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
+      --armed_[static_cast<std::size_t>(p)];
       ++step_;
       if (crashed(p)) return false;
       process(p).on_timer(id);
@@ -231,11 +235,16 @@ class DirectDrive {
     consensus::TimerId set_timer(sim::Tick) override {
       const consensus::TimerId id{drive_.next_timer_++};
       drive_.timers_.push_back(ArmedTimer{self_, id});
+      ++drive_.armed_[static_cast<std::size_t>(self_)];
       return id;
     }
 
     void cancel_timer(consensus::TimerId id) override {
-      std::erase_if(drive_.timers_, [&](const ArmedTimer& t) { return t.id == id; });
+      std::erase_if(drive_.timers_, [&](const ArmedTimer& t) {
+        if (t.id != id) return false;
+        --drive_.armed_[static_cast<std::size_t>(t.owner)];
+        return true;
+      });
     }
 
    private:
@@ -250,6 +259,7 @@ class DirectDrive {
   std::vector<bool> crashed_;
   std::deque<Pending> pool_;
   std::vector<ArmedTimer> timers_;
+  std::vector<int> armed_;  ///< per-process count of timers_ entries
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_timer_ = 1;
   sim::Tick step_ = 0;

@@ -1,13 +1,41 @@
-// Bounded stateless model checking over DirectDrive schedules.
+// Bounded model checking over DirectDrive schedules.
 //
 // A protocol state is a deterministic function of the *schedule*: the
 // sequence of adversary choices (deliver pending message i / fire a timer /
-// crash a process).  The explorer enumerates schedules depth-first by
-// replaying them from scratch (stateless model checking), checking the
-// safety monitors after every step; the fuzzer samples random schedules
-// instead, which scales to configurations the exhaustive search cannot
-// cover.  Both report the first Agreement/Validity/Integrity violation
-// found, together with the offending schedule, so failures are replayable.
+// crash a process / inject a link fault).  The explorer searches schedules
+// depth-first and rebuilds every state it visits by replaying its schedule on
+// a fresh drive, so no process is ever copied; at each visited state it
+// checks the safety monitors and the scenario's invariant.  The fuzzer
+// samples random schedules instead, which scales to configurations the
+// exhaustive search cannot cover.  Both report the first
+// Agreement/Validity/Integrity or invariant violation found, together with
+// the offending schedule, so failures are replayable.
+//
+// The explorer prunes reorderings of commuting actions with sleep sets
+// (Godefroid's partial-order reduction).  Delivering a message to p and then
+// one to q reaches the state the other order reaches, so once the subtree
+// under the first order is searched, the second one need not be.  Each node
+// carries a sleep set: the actions that an earlier sibling's subtree already
+// covered and that commute with every action taken since.  A sleeping action
+// is not taken, and a node whose every enabled action sleeps is cut off.  The
+// search still reaches every state the plain DFS reaches within the depth
+// bound, because commuting actions does not change a schedule's length.
+//
+// Actions are named by stable identities, not by their index, which shifts
+// as the pool changes: a delivery by its Pending::seq, a timer fire by its
+// owner, a crash by its victim.  A delivery touches its receiver, a timer
+// fire its owner and a crash its victim.  Deliveries, timer fires and
+// crashes that touch different processes are independent (they commute, and
+// neither enables or disables the other), with two exceptions:
+//   - a crash of p and a delivery sent by p, because a mid-step crash
+//     discards p's undelivered messages;
+//   - two crashes, because they share the crash budget.
+// Every other pair is dependent, including any pair with a drop, duplicate
+// or partition fault.
+// The relation holds only for processes that act solely through their Env
+// and never branch on Env::now() or on raw TimerId values: two commuted
+// orders end in states that differ exactly in the drive's step counter, the
+// sequence numbers of messages sent and the ids of timers armed.
 //
 // The fuzzer shards its trace budget into fixed-size chunks and runs the
 // chunks on an exec::ThreadPool.  Each chunk draws from a private RNG
@@ -18,8 +46,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,6 +93,11 @@ struct Scenario {
   };
   FaultBudget faults;
 
+  /// Checked at every state the explorer visits and after every fuzz step,
+  /// beside the safety monitors: returns a violation, or nothing.  Empty
+  /// (the default) checks nothing.
+  std::function<std::optional<std::string>(const DirectDrive<P>&)> invariant;
+
   int max_depth = 48;
 };
 
@@ -81,36 +118,64 @@ class Explorer {
  public:
   using Drive = DirectDrive<P>;
 
-  /// Exhaustive DFS up to `max_traces` terminal schedules.
+  /// Exhaustive sleep-set DFS up to `max_traces` complete schedules: the
+  /// leaves of the search, at max_depth, with no enabled action, or with
+  /// every enabled action asleep.
   static ExploreResult explore(const Scenario<P>& scenario, long max_traces = 20000) {
     ExploreResult result;
-    std::vector<std::vector<int>> stack;
-    stack.push_back({});
-    while (!stack.empty()) {
-      if (result.traces >= max_traces) return result;  // budget: not exhausted
-      const std::vector<int> schedule = std::move(stack.back());
-      stack.pop_back();
-
-      auto drive = make_drive(scenario);
-      const int baseline = setup_crashes(scenario, *drive);
-      const ReplayStatus status = replay(scenario, *drive, baseline, schedule, result);
-      if (status == ReplayStatus::kViolation) {
-        ++result.traces;  // the violating schedule counts as examined
-        result.violation = true;
-        result.what = drive->monitor().violations().front();
-        result.schedule = schedule;
-        return result;
+    std::vector<int> schedule;  // the path to the node at `depth`
+    // frames[d] is the path's node at depth d.  Frames are reused, so their
+    // vectors keep their capacity for the whole search.
+    std::vector<Frame> frames;
+    std::size_t depth = 0;
+    bool fresh = true;  // frames[depth] has not been visited yet
+    for (;;) {
+      if (frames.size() < depth + 2) frames.resize(depth + 2);
+      Frame& frame = frames[depth];
+      if (fresh) {
+        fresh = false;
+        if (result.traces >= max_traces) return result;  // budget: not exhausted
+        auto drive = make_drive(scenario);
+        const int baseline = setup_crashes(scenario, *drive);
+        for (const int action : schedule) apply(scenario, *drive, baseline, action);
+        result.steps += static_cast<long>(schedule.size());
+        if (auto what = violation(scenario, *drive)) {
+          ++result.traces;  // the violating schedule counts as examined
+          result.violation = true;
+          result.what = std::move(*what);
+          result.schedule = schedule;
+          return result;
+        }
+        frame.todo.clear();
+        frame.next = 0;
+        if (static_cast<int>(depth) < scenario.max_depth) {
+          const Counts counts = count_actions(scenario, *drive, baseline);
+          for (int a = 0; a < counts.total(); ++a) {
+            const Action action = decode(scenario, *drive, counts, a);
+            if (!asleep(frame.sleep, action)) frame.todo.push_back(action);
+          }
+        }
+        if (frame.todo.empty()) ++result.traces;
       }
-
-      const int branching = enabled_actions(scenario, *drive, baseline);
-      if (branching == 0 || static_cast<int>(schedule.size()) >= scenario.max_depth) {
-        ++result.traces;
-        continue;
-      }
-      for (int a = branching - 1; a >= 0; --a) {
-        std::vector<int> next = schedule;
-        next.push_back(a);
-        stack.push_back(std::move(next));
+      if (frame.next < frame.todo.size()) {
+        // The child sleeps on what this node already sleeps on and on the
+        // siblings searched before it, as far as they commute with its move.
+        const Action& move = frame.todo[frame.next];
+        Frame& child = frames[depth + 1];
+        child.sleep.clear();
+        for (const Action& b : frame.sleep)
+          if (independent(move, b)) child.sleep.push_back(b);
+        for (std::size_t i = 0; i < frame.next; ++i)
+          if (independent(move, frame.todo[i])) child.sleep.push_back(frame.todo[i]);
+        schedule.push_back(move.index);
+        ++frame.next;
+        ++depth;
+        fresh = true;
+      } else if (depth == 0) {
+        break;
+      } else {
+        schedule.pop_back();
+        --depth;
       }
     }
     result.exhausted = true;
@@ -167,13 +232,74 @@ class Explorer {
                                                 const std::vector<int>& schedule) {
     auto drive = make_drive(scenario);
     const int baseline = setup_crashes(scenario, *drive);
-    ExploreResult scratch;
-    replay(scenario, *drive, baseline, schedule, scratch);
+    for (const int action : schedule) {
+      apply(scenario, *drive, baseline, action);
+      if (!drive->monitor().safe()) break;
+    }
     return drive;
   }
 
  private:
-  enum class ReplayStatus { kOk, kViolation };
+  /// Action space at a state, in index order:
+  ///   [0, pool)                     deliver pending message i
+  ///   [pool, pool+T)                fire the oldest timer of the j-th
+  ///                                 process that has armed timers
+  ///   [pool+T, pool+T+C)            crash the j-th eligible victim
+  ///   [.., +D)                      drop pending message i    (fault budget)
+  ///   [.., +U)                      duplicate pending message i
+  ///   [.., +Q)                      momentary partition of the j-th
+  ///                                 non-crashed process
+  enum class Kind : std::uint8_t { kDeliver, kTimer, kCrash, kDrop, kDuplicate, kPartition };
+
+  /// The size of each range.
+  struct Counts {
+    int deliveries = 0;
+    int timers = 0;
+    int crashes = 0;
+    int drops = 0;
+    int duplicates = 0;
+    int partitions = 0;
+    [[nodiscard]] int total() const {
+      return deliveries + timers + crashes + drops + duplicates + partitions;
+    }
+  };
+
+  /// One enabled action, decoded from its index at one state.
+  struct Action {
+    Kind kind = Kind::kDeliver;
+    int index = 0;  ///< its schedule entry at that state
+    /// Deliver, drop and duplicate: the message's pool slot (at that state
+    /// only), its Pending::seq and its sender.
+    std::size_t slot = 0;
+    std::uint64_t seq = 0;
+    consensus::ProcessId sender = consensus::kNoProcess;
+    /// The message's receiver; the timer's owner; the crash or partition
+    /// victim.  With kind and seq, the action's identity across states.
+    consensus::ProcessId process = consensus::kNoProcess;
+  };
+
+  /// The DFS node at one depth of the current path.
+  struct Frame {
+    std::vector<Action> sleep;  ///< covered by earlier siblings' subtrees
+    std::vector<Action> todo;   ///< enabled and awake, in index order
+    std::size_t next = 0;       ///< todo[next] is the next child
+  };
+
+  [[nodiscard]] static bool asleep(const std::vector<Action>& sleep, const Action& a) {
+    return std::ranges::any_of(sleep, [&](const Action& b) {
+      return a.kind == b.kind && a.seq == b.seq && a.process == b.process;
+    });
+  }
+
+  /// The independence relation of the header comment.
+  [[nodiscard]] static bool independent(const Action& a, const Action& b) {
+    if (a.kind > b.kind) return independent(b, a);
+    if (b.kind > Kind::kCrash) return false;   // a link fault
+    if (a.kind == Kind::kCrash) return false;  // two crashes share the budget
+    if (a.kind == Kind::kDeliver && b.kind == Kind::kCrash && a.sender == b.process)
+      return false;  // the crash discards the message
+    return a.process != b.process;
+  }
 
   static std::unique_ptr<Drive> make_drive(const Scenario<P>& scenario) {
     auto drive = std::make_unique<Drive>(scenario.config, scenario.factory);
@@ -184,11 +310,15 @@ class Explorer {
   /// Members of may_crash that `setup` already crashed.  The crash budget is
   /// "on top of crashes done by setup", so this baseline is subtracted when
   /// deciding whether the explorer may crash further processes.
-  static int setup_crashes(const Scenario<P>& scenario, Drive& drive) {
-    int crashed = 0;
-    for (const consensus::ProcessId p : scenario.may_crash)
-      if (drive.crashed(p)) ++crashed;
-    return crashed;
+  static int setup_crashes(const Scenario<P>& scenario, const Drive& drive) {
+    return count(scenario.may_crash, [&](consensus::ProcessId p) { return drive.crashed(p); });
+  }
+
+  /// The first safety or invariant violation at the drive's state, if any.
+  static std::optional<std::string> violation(const Scenario<P>& scenario, const Drive& drive) {
+    if (!drive.monitor().safe()) return drive.monitor().violations().front();
+    if (scenario.invariant) return scenario.invariant(drive);
+    return std::nullopt;
   }
 
   /// One fuzz shard: `count` random traces from a private seed.  Abandons
@@ -204,16 +334,16 @@ class Explorer {
       const int baseline = setup_crashes(scenario, *drive);
       std::vector<int> schedule;
       for (int s = 0; s < max_steps; ++s) {
-        const int branching = enabled_actions(scenario, *drive, baseline);
-        if (branching == 0) break;
-        const int a = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(branching)));
+        const Counts counts = count_actions(scenario, *drive, baseline);
+        if (counts.total() == 0) break;
+        const int a = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(counts.total())));
         schedule.push_back(a);
-        apply(scenario, *drive, baseline, a);
+        perform(scenario, *drive, decode(scenario, *drive, counts, a));
         ++result.steps;
-        if (!drive->monitor().safe()) {
+        if (auto what = violation(scenario, *drive)) {
           result.violation = true;
-          result.what = drive->monitor().violations().front();
-          result.schedule = schedule;
+          result.what = std::move(*what);
+          result.schedule = std::move(schedule);
           ++result.traces;
           hit.record(index);
           return result;
@@ -224,119 +354,122 @@ class Explorer {
     return result;
   }
 
-  /// Action space at the current state:
-  ///   [0, pool)                     deliver pending message i
-  ///   [pool, pool+T)                fire the oldest timer of the j-th
-  ///                                 process that has armed timers
-  ///   [pool+T, pool+T+C)            crash the j-th eligible victim
-  ///   [.., +D)                      drop pending message i    (fault budget)
-  ///   [.., +U)                      duplicate pending message i
-  ///   [.., +Q)                      momentary partition of the j-th
-  ///                                 non-crashed process
-  static int enabled_actions(const Scenario<P>& scenario, Drive& drive, int setup_crashed) {
-    return static_cast<int>(drive.pool().size()) + timer_owners(scenario, drive).size() +
-           crash_victims(scenario, drive, setup_crashed).size() +
-           static_cast<std::size_t>(drop_slots(scenario, drive)) +
-           static_cast<std::size_t>(dup_slots(scenario, drive)) +
-           partition_victims(scenario, drive).size();
+  /// The k-th (0-based) process in `candidates` that satisfies `eligible`.
+  template <typename Range, typename Pred>
+  static consensus::ProcessId nth(const Range& candidates, int k, Pred eligible) {
+    for (const consensus::ProcessId p : candidates)
+      if (eligible(p) && k-- == 0) return p;
+    throw std::logic_error("Explorer: action count and lookup disagree");
   }
 
-  static std::vector<consensus::ProcessId> timer_owners(const Scenario<P>& scenario,
-                                                        Drive& drive) {
-    std::vector<consensus::ProcessId> owners;
-    if (!scenario.explore_timers) return owners;
-    for (consensus::ProcessId p = 0; p < drive.config().n; ++p)
-      if (!drive.crashed(p) && drive.armed_timers(p) > 0) owners.push_back(p);
-    return owners;
+  template <typename Range, typename Pred>
+  static int count(const Range& candidates, Pred eligible) {
+    return static_cast<int>(std::ranges::count_if(candidates, eligible));
   }
 
-  static std::vector<consensus::ProcessId> crash_victims(const Scenario<P>& scenario,
-                                                         Drive& drive, int setup_crashed) {
-    std::vector<consensus::ProcessId> victims;
-    int crashed_from_list = 0;
-    for (const consensus::ProcessId p : scenario.may_crash)
-      if (drive.crashed(p)) ++crashed_from_list;
+  static auto all_processes(const Drive& drive) {
+    return std::views::iota(consensus::ProcessId{0}, drive.config().n);
+  }
+
+  static bool can_fire(const Drive& drive, consensus::ProcessId p) {
+    return !drive.crashed(p) && drive.armed_timers(p) > 0;
+  }
+
+  static Counts count_actions(const Scenario<P>& scenario, const Drive& drive,
+                              int setup_crashed) {
+    Counts c;
+    const int pool = static_cast<int>(drive.pool().size());
+    const auto up = [&](consensus::ProcessId p) { return !drive.crashed(p); };
+    c.deliveries = pool;
+    if (scenario.explore_timers)
+      c.timers =
+          count(all_processes(drive), [&](consensus::ProcessId p) { return can_fire(drive, p); });
     // Only crashes the explorer itself performed count against the budget;
     // processes already down after `setup` are the scenario's premise.
-    if (crashed_from_list - setup_crashed >= scenario.crash_budget) return victims;
-    for (const consensus::ProcessId p : scenario.may_crash)
-      if (!drive.crashed(p)) victims.push_back(p);
-    return victims;
+    const int alive = count(scenario.may_crash, up);
+    const int explorer_crashed =
+        static_cast<int>(scenario.may_crash.size()) - alive - setup_crashed;
+    if (explorer_crashed < scenario.crash_budget) c.crashes = alive;
+    if (drive.injected_drops() < scenario.faults.drops) c.drops = pool;
+    if (drive.injected_duplicates() < scenario.faults.duplicates) c.duplicates = pool;
+    // Partitioning an empty pool would be a no-op.
+    if (drive.injected_partitions() < scenario.faults.partitions && pool > 0)
+      c.partitions = count(all_processes(drive), up);
+    return c;
   }
 
-  /// Remaining drop actions: one per pending message while budget lasts.
-  static int drop_slots(const Scenario<P>& scenario, Drive& drive) {
-    if (drive.injected_drops() >= scenario.faults.drops) return 0;
-    return static_cast<int>(drive.pool().size());
+  /// The action with index `action` at the drive's state, whose ranges are
+  /// `c`.  Allocates nothing.
+  static Action decode(const Scenario<P>& scenario, const Drive& drive, const Counts& c,
+                       int action) {
+    if (action < 0 || action >= c.total())
+      throw std::out_of_range("Explorer: stale action index");
+    Action a;
+    a.index = action;
+    const auto up = [&](consensus::ProcessId p) { return !drive.crashed(p); };
+    const auto message = [&](Kind kind, int slot) {
+      const auto& m = drive.pool()[static_cast<std::size_t>(slot)];
+      a.kind = kind;
+      a.slot = static_cast<std::size_t>(slot);
+      a.seq = m.seq;
+      a.sender = m.from;
+      a.process = m.to;
+      return a;
+    };
+    if (action < c.deliveries) return message(Kind::kDeliver, action);
+    action -= c.deliveries;
+    if (action < c.timers) {
+      a.kind = Kind::kTimer;
+      a.process = nth(all_processes(drive), action,
+                      [&](consensus::ProcessId p) { return can_fire(drive, p); });
+      return a;
+    }
+    action -= c.timers;
+    if (action < c.crashes) {
+      a.kind = Kind::kCrash;
+      a.process = nth(scenario.may_crash, action, up);
+      return a;
+    }
+    action -= c.crashes;
+    if (action < c.drops) return message(Kind::kDrop, action);
+    action -= c.drops;
+    if (action < c.duplicates) return message(Kind::kDuplicate, action);
+    action -= c.duplicates;
+    a.kind = Kind::kPartition;
+    a.process = nth(all_processes(drive), action, up);
+    return a;
   }
 
-  static int dup_slots(const Scenario<P>& scenario, Drive& drive) {
-    if (drive.injected_duplicates() >= scenario.faults.duplicates) return 0;
-    return static_cast<int>(drive.pool().size());
-  }
-
-  static std::vector<consensus::ProcessId> partition_victims(const Scenario<P>& scenario,
-                                                             Drive& drive) {
-    std::vector<consensus::ProcessId> victims;
-    if (drive.injected_partitions() >= scenario.faults.partitions) return victims;
-    if (drive.pool().empty()) return victims;  // partitioning nothing is a no-op
-    for (consensus::ProcessId p = 0; p < drive.config().n; ++p)
-      if (!drive.crashed(p)) victims.push_back(p);
-    return victims;
+  static void perform(const Scenario<P>& scenario, Drive& drive, const Action& a) {
+    switch (a.kind) {
+      case Kind::kDeliver:
+        drive.deliver_index(a.slot);
+        return;
+      case Kind::kTimer:
+        drive.fire_next_timer(a.process);
+        return;
+      case Kind::kCrash:
+        if (scenario.mid_step_crashes) {
+          drive.crash_suppressing_outbox(a.process);
+        } else {
+          drive.crash(a.process);
+        }
+        return;
+      case Kind::kDrop:
+        drive.drop_index(a.slot);
+        return;
+      case Kind::kDuplicate:
+        drive.duplicate_index(a.slot);
+        return;
+      case Kind::kPartition:
+        drive.drop_all_for(a.process);
+        return;
+    }
   }
 
   static void apply(const Scenario<P>& scenario, Drive& drive, int setup_crashed, int action) {
-    const auto pool_size = static_cast<int>(drive.pool().size());
-    if (action < pool_size) {
-      drive.deliver_index(static_cast<std::size_t>(action));
-      return;
-    }
-    action -= pool_size;
-    const auto owners = timer_owners(scenario, drive);
-    if (action < static_cast<int>(owners.size())) {
-      drive.fire_next_timer(owners[static_cast<std::size_t>(action)]);
-      return;
-    }
-    action -= static_cast<int>(owners.size());
-    const auto victims = crash_victims(scenario, drive, setup_crashed);
-    if (action < static_cast<int>(victims.size())) {
-      const consensus::ProcessId p = victims[static_cast<std::size_t>(action)];
-      if (scenario.mid_step_crashes) {
-        drive.crash_suppressing_outbox(p);
-      } else {
-        drive.crash(p);
-      }
-      return;
-    }
-    action -= static_cast<int>(victims.size());
-    const int drops = drop_slots(scenario, drive);
-    if (action < drops) {
-      drive.drop_index(static_cast<std::size_t>(action));
-      return;
-    }
-    action -= drops;
-    const int dups = dup_slots(scenario, drive);
-    if (action < dups) {
-      drive.duplicate_index(static_cast<std::size_t>(action));
-      return;
-    }
-    action -= dups;
-    const auto islands = partition_victims(scenario, drive);
-    if (action < static_cast<int>(islands.size())) {
-      drive.drop_all_for(islands[static_cast<std::size_t>(action)]);
-      return;
-    }
-    throw std::out_of_range("Explorer: stale action index");
-  }
-
-  static ReplayStatus replay(const Scenario<P>& scenario, Drive& drive, int setup_crashed,
-                             const std::vector<int>& schedule, ExploreResult& result) {
-    for (const int action : schedule) {
-      apply(scenario, drive, setup_crashed, action);
-      ++result.steps;
-      if (!drive.monitor().safe()) return ReplayStatus::kViolation;
-    }
-    return ReplayStatus::kOk;
+    perform(scenario, drive,
+            decode(scenario, drive, count_actions(scenario, drive, setup_crashed), action));
   }
 };
 

@@ -64,7 +64,7 @@ struct TraceEvent {
   consensus::ProcessId process = consensus::kNoProcess;   ///< primary actor
   consensus::ProcessId peer = consensus::kNoProcess;      ///< counterpart (from/to)
   consensus::Ballot ballot = -1;                          ///< -1 when not applicable
-  consensus::Value value;                                 ///< ⊥ when not applicable
+  consensus::Value value{};                               ///< ⊥ when not applicable
   const char* label = "";  ///< static string: message type / phase / branch
   std::int64_t detail = 0; ///< kind-specific payload (message seq, timer id)
 };

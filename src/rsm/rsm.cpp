@@ -500,8 +500,9 @@ std::vector<Msg> RsmProcess::decide_messages(std::int32_t from_slot) const {
     if (it != batch_contents_.end()) out.push_back(BatchContentMsg{cmd, it->second});
   }
   for (const auto& [slot, cmd] : tail)
-    out.push_back(
-        SlotMsg{slot, governing_version(slot), core::Message{core::DecideMsg{consensus::Value{cmd}}}});
+    out.emplace_back(std::in_place_type<SlotMsg>,
+                     SlotMsg{slot, governing_version(slot),
+                             core::Message{core::DecideMsg{consensus::Value{cmd}}}});
   return out;
 }
 

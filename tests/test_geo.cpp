@@ -34,8 +34,8 @@ TEST(LatencyMatrix, AccessorsAndBounds) {
   EXPECT_EQ(m.max_one_way_us(), 20);
   EXPECT_EQ(m.region_index("y"), 1);
   EXPECT_EQ(m.region_index("z"), -1);
-  EXPECT_THROW(m.one_way_us(0, 2), std::out_of_range);
-  EXPECT_THROW(m.one_way_us(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)m.one_way_us(0, 2), std::out_of_range);
+  EXPECT_THROW((void)m.one_way_us(-1, 0), std::out_of_range);
 }
 
 TEST(LatencyMatrix, NineRegionsMatchesTheSimTable) {
@@ -244,7 +244,7 @@ TEST(ChaosGeo, RejectsUncoveredReplicas) {
   transport::ChaosConfig config = geo_config(0);
   EXPECT_THROW(transport::ChaosInjector(config, /*self=*/3), std::invalid_argument);
   transport::ChaosInjector inj(config, /*self=*/0);
-  EXPECT_THROW(inj.geo_base_delay_us(3), std::invalid_argument);
+  EXPECT_THROW((void)inj.geo_base_delay_us(3), std::invalid_argument);
 }
 
 TEST(ChaosInjector, RejectsDelayRateWithoutBound) {

@@ -4,8 +4,14 @@
 // selection rules (the A1 ablation mutants) are caught.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/two_step.hpp"
@@ -134,9 +140,22 @@ TEST(Explorer, TaskAtBoundIsSafeUnderExhaustiveSearch) {
   EXPECT_GT(r.traces, 100);
 }
 
+TEST(Explorer, TaskAtBoundDepthSixIsExhausted) {
+  // The depth-6 space of the task protocol at its bound, with timers and one
+  // mid-step crash.  A plain DFS needs 1,357,215 schedules for it; the
+  // sleep sets must cut that by an order of magnitude or more.
+  const auto scenario = tiny_task_scenario(SelectionPolicy::kPaper, 1, 6);
+  const ExploreResult r = Explorer<TwoStepProcess>::explore(scenario, 20'000'000);
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_FALSE(r.violation) << r.what;
+  EXPECT_LT(r.traces, 135'721);
+}
+
 TEST(Explorer, ReportsReplayableSchedules) {
   // Use a mutant so a violation exists (the fuzzer finds it quickly), then
-  // replay its schedule and check the violation reproduces exactly.
+  // replay its schedule and check the violation reproduces exactly.  The
+  // trace and step counts pin the fuzzer's index -> action mapping: any
+  // reordering of the action space changes them.
   const SystemConfig cfg{5, 2, 2};  // below the task bound: violations exist
   Scenario<TwoStepProcess> scenario;
   scenario.config = cfg;
@@ -149,6 +168,8 @@ TEST(Explorer, ReportsReplayableSchedules) {
   scenario.crash_budget = 2;
   const ExploreResult r = Explorer<TwoStepProcess>::fuzz(scenario, 30000, /*seed=*/7, 250);
   ASSERT_TRUE(r.violation);
+  EXPECT_EQ(r.traces, 3586);
+  EXPECT_EQ(r.steps, 611893);
   auto drive = Explorer<TwoStepProcess>::replay_schedule(scenario, r.schedule);
   EXPECT_FALSE(drive->monitor().safe());
   EXPECT_EQ(drive->monitor().violations().front(), r.what);
@@ -167,6 +188,125 @@ TEST(Explorer, ExhaustsTinySpaces) {
   const ExploreResult r = Explorer<TwoStepProcess>::explore(s, 100000);
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.violation);
+}
+
+// ---------- the sleep-set search against a plain DFS ----------
+
+/// A state up to the names the drive gives messages and timers: per process
+/// its acceptor state, crashed flag and armed-timer count, then the sorted
+/// multiset of pending messages.
+std::string project(const DirectDrive<TwoStepProcess>& d) {
+  std::ostringstream os;
+  for (ProcessId p = 0; p < d.config().n; ++p) {
+    const auto a = d.process(p).acceptor_state();
+    os << a.bal << ',' << a.vbal << ',' << a.val << ',' << a.proposer << ',' << a.initial << ','
+       << a.decided << ',' << d.crashed(p) << ',' << d.armed_timers(p) << ';';
+  }
+  std::vector<std::string> pending;
+  for (const auto& m : d.pool())
+    pending.push_back(std::to_string(m.from) + '>' + std::to_string(m.to) + ' ' +
+                      core::to_string(m.msg));
+  std::sort(pending.begin(), pending.end());
+  for (const std::string& m : pending) os << '|' << m;
+  return os.str();
+}
+
+/// The states a plain DFS reaches: every interleaving of deliveries, timer
+/// fires, mid-step crashes and drops, each state rebuilt from the root.
+/// Independent of Explorer's action encoding.
+void plain_dfs(const Scenario<TwoStepProcess>& s, std::vector<std::pair<char, int>>& path,
+               int crashes, std::set<std::string>& seen) {
+  DirectDrive<TwoStepProcess> d{s.config, s.factory};
+  s.setup(d);
+  for (const auto& [kind, arg] : path) {
+    switch (kind) {
+      case 'm': d.deliver_index(static_cast<std::size_t>(arg)); break;
+      case 't': d.fire_next_timer(arg); break;
+      case 'c': d.crash_suppressing_outbox(arg); break;
+      default: d.drop_index(static_cast<std::size_t>(arg)); break;
+    }
+  }
+  seen.insert(project(d));
+  if (static_cast<int>(path.size()) == s.max_depth) return;
+  std::vector<std::pair<char, int>> moves;
+  const int pool = static_cast<int>(d.pool().size());
+  for (int i = 0; i < pool; ++i) moves.emplace_back('m', i);
+  for (ProcessId p = 0; p < s.config.n; ++p)
+    if (!d.crashed(p) && d.armed_timers(p) > 0) moves.emplace_back('t', p);
+  if (crashes < s.crash_budget)
+    for (const ProcessId p : s.may_crash)
+      if (!d.crashed(p)) moves.emplace_back('c', p);
+  if (d.injected_drops() < s.faults.drops)
+    for (int i = 0; i < pool; ++i) moves.emplace_back('d', i);
+  for (const auto& move : moves) {
+    path.push_back(move);
+    plain_dfs(s, path, crashes + (move.first == 'c' ? 1 : 0), seen);
+    path.pop_back();
+  }
+}
+
+TEST(Explorer, SleepSetSearchReachesEveryStateOfThePlainSearch) {
+  // Partial-order reduction must prune schedules, never states: the set of
+  // states the sleep-set search visits (collected through the invariant
+  // hook) equals the plain DFS's on each space.
+  auto space = [](int n, Mode mode, int depth, int drops) {
+    const SystemConfig cfg{n, 1, 1};
+    Scenario<TwoStepProcess> s;
+    s.config = cfg;
+    s.factory = factory(cfg, mode);
+    s.setup = [n](DirectDrive<TwoStepProcess>& d) {
+      d.start_all();
+      for (ProcessId p = 0; p < n; ++p) d.propose(p, Value{p + 1});
+    };
+    for (ProcessId p = 0; p < n; ++p) s.may_crash.push_back(p);
+    s.crash_budget = 1;
+    s.faults.drops = drops;
+    s.max_depth = depth;
+    return s;
+  };
+  // Each space with the number of distinct states in it.
+  const std::vector<std::pair<Scenario<TwoStepProcess>, std::size_t>> spaces = {
+      {space(3, Mode::kTask, 4, 0), 896},   {space(3, Mode::kTask, 5, 0), 3041},
+      {space(3, Mode::kObject, 4, 0), 455}, {space(3, Mode::kObject, 5, 0), 1252},
+      {space(4, Mode::kTask, 4, 0), 4610},  {space(3, Mode::kTask, 4, 1), 1508},
+  };
+  for (const auto& [plain_space, states] : spaces) {
+    std::set<std::string> plain;
+    std::vector<std::pair<char, int>> path;
+    plain_dfs(plain_space, path, 0, plain);
+
+    std::set<std::string> reduced;
+    Scenario<TwoStepProcess> s = plain_space;
+    s.invariant = [&reduced](const DirectDrive<TwoStepProcess>& d) -> std::optional<std::string> {
+      reduced.insert(project(d));
+      return std::nullopt;
+    };
+    const ExploreResult r = Explorer<TwoStepProcess>::explore(s, 20'000'000);
+    ASSERT_TRUE(r.exhausted);
+    EXPECT_FALSE(r.violation) << r.what;
+    EXPECT_EQ(plain.size(), states);
+    EXPECT_EQ(reduced, plain) << "n=" << s.config.n << " depth=" << s.max_depth
+                              << " drops=" << s.faults.drops;
+  }
+}
+
+TEST(Explorer, InvariantViolationIsReportedWithItsSchedule) {
+  // The invariant hook reports like the safety monitors: the first state
+  // that breaks it ends the search, and its schedule replays to that state.
+  auto s = tiny_task_scenario(SelectionPolicy::kPaper, 0, 6);
+  s.invariant = [](const DirectDrive<TwoStepProcess>& d) -> std::optional<std::string> {
+    if (d.process(1).vote_value() == Value{1}) return "p1 voted for 1";
+    return std::nullopt;
+  };
+  const ExploreResult r = Explorer<TwoStepProcess>::explore(s, 100000);
+  ASSERT_TRUE(r.violation);
+  EXPECT_EQ(r.what, "p1 voted for 1");
+  auto drive = Explorer<TwoStepProcess>::replay_schedule(s, r.schedule);
+  EXPECT_EQ(drive->process(1).vote_value(), Value{1});
+
+  const ExploreResult f = Explorer<TwoStepProcess>::fuzz(s, 64, /*seed=*/5, 50);
+  ASSERT_TRUE(f.violation);
+  EXPECT_EQ(f.what, "p1 voted for 1");
 }
 
 // ---------- fuzzing ----------

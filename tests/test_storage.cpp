@@ -52,6 +52,13 @@ class TempDir {
   std::string dir_;
 };
 
+/// Engine options with fsync off; everything else at its default.
+EngineOptions no_fsync() {
+  EngineOptions options;
+  options.fsync = false;
+  return options;
+}
+
 std::vector<std::uint8_t> bytes(std::initializer_list<int> vals) {
   std::vector<std::uint8_t> out;
   for (const int v : vals) out.push_back(static_cast<std::uint8_t>(v));
@@ -294,7 +301,7 @@ TEST(EngineTest, SnapshotRoundTripsAndCompactsTheWal) {
   const std::string dir = tmp.file("store");
   const auto payload = bytes({10, 20, 30, 40});
   {
-    Engine engine(dir, EngineOptions{false});
+    Engine engine(dir, no_fsync());
     EXPECT_FALSE(engine.snapshot());
     EXPECT_FALSE(engine.snapshot_corrupt());
     engine.wal().append(bytes({1}));
@@ -306,7 +313,7 @@ TEST(EngineTest, SnapshotRoundTripsAndCompactsTheWal) {
     engine.wal().append(bytes({3}));
     engine.wal().sync();
   }
-  Engine reopened(dir, EngineOptions{false});
+  Engine reopened(dir, no_fsync());
   ASSERT_TRUE(reopened.snapshot());
   EXPECT_EQ(reopened.snapshot()->payload, payload);
   ASSERT_EQ(reopened.tail().size(), 1u);
@@ -316,7 +323,7 @@ TEST(EngineTest, SnapshotRoundTripsAndCompactsTheWal) {
 
 TEST(EngineTest, SnapshotDueTriggersOnAppendCount) {
   TempDir tmp;
-  EngineOptions options{false};
+  EngineOptions options = no_fsync();
   options.snapshot_every = 3;
   Engine engine(tmp.file("store"), options);
   EXPECT_FALSE(engine.snapshot_due());
@@ -335,11 +342,11 @@ TEST(EngineTest, RecoveredTailCountsTowardTheFirstTrigger) {
   TempDir tmp;
   const std::string dir = tmp.file("store");
   {
-    Engine engine(dir, EngineOptions{false});
+    Engine engine(dir, no_fsync());
     for (int i = 0; i < 4; ++i) engine.wal().append(bytes({i}));
     engine.wal().sync();
   }
-  EngineOptions options{false};
+  EngineOptions options = no_fsync();
   options.snapshot_every = 3;
   Engine reopened(dir, options);
   // 4 recovered records >= 3: a node rebooted with a long un-snapshotted
@@ -352,7 +359,7 @@ TEST(EngineTest, CrashBeforeRenameLeavesThePreviousSnapshotAuthoritative) {
   const std::string dir = tmp.file("store");
   const auto first = bytes({1, 1, 1});
   {
-    Engine engine(dir, EngineOptions{false});
+    Engine engine(dir, no_fsync());
     engine.wal().append(bytes({1}));
     engine.wal().sync();
     engine.write_snapshot(first);
@@ -363,14 +370,14 @@ TEST(EngineTest, CrashBeforeRenameLeavesThePreviousSnapshotAuthoritative) {
     // Crash after snapshot.tmp is written but before the rename: the WAL
     // must NOT have been truncated (step 4 never ran), and the old
     // snapshot file is untouched.
-    EngineOptions options{false};
+    EngineOptions options = no_fsync();
     options.test_hook = [](const char* stage) {
       if (std::string_view{stage} == "tmp_written") throw std::runtime_error("crash");
     };
     Engine engine(dir, options);
     EXPECT_THROW(engine.write_snapshot(bytes({2, 2, 2})), std::runtime_error);
   }
-  Engine reopened(dir, EngineOptions{false});
+  Engine reopened(dir, no_fsync());
   ASSERT_TRUE(reopened.snapshot());
   EXPECT_EQ(reopened.snapshot()->payload, first);   // previous snapshot wins
   ASSERT_EQ(reopened.tail().size(), 1u);            // nothing was truncated
@@ -384,13 +391,13 @@ TEST(EngineTest, CrashAfterRenameRecoversTheNewSnapshotAndFinishesCompaction) {
   const auto second = bytes({2, 2, 2});
   std::uint64_t covered = 0;
   {
-    Engine engine(dir, EngineOptions{false});
+    Engine engine(dir, no_fsync());
     engine.wal().append(bytes({1}));
     engine.wal().append(bytes({2}));
     engine.wal().sync();
     // Crash after the rename but before WAL truncation: the new snapshot
     // is durable, the covered segments are still on disk.
-    EngineOptions crash{false};
+    EngineOptions crash = no_fsync();
     crash.test_hook = [](const char* stage) {
       if (std::string_view{stage} == "renamed") throw std::runtime_error("crash");
     };
@@ -398,7 +405,7 @@ TEST(EngineTest, CrashAfterRenameRecoversTheNewSnapshotAndFinishesCompaction) {
     EXPECT_THROW(crasher.write_snapshot(second), std::runtime_error);
     covered = crasher.wal().first_segment();
   }
-  Engine reopened(dir, EngineOptions{false});
+  Engine reopened(dir, no_fsync());
   ASSERT_TRUE(reopened.snapshot());
   EXPECT_EQ(reopened.snapshot()->payload, second);  // new snapshot authoritative
   // The covered records never reach the replay tail — a replay can never
@@ -413,7 +420,7 @@ TEST(EngineTest, CorruptSnapshotFallsBackToWalReplay) {
   TempDir tmp;
   const std::string dir = tmp.file("store");
   {
-    Engine engine(dir, EngineOptions{false});
+    Engine engine(dir, no_fsync());
     engine.wal().append(bytes({1}));
     engine.wal().sync();
     engine.write_snapshot(bytes({7, 7, 7, 7}));
@@ -422,7 +429,7 @@ TEST(EngineTest, CorruptSnapshotFallsBackToWalReplay) {
   }
   flip_byte(dir + "/snapshot", 9);  // rot one body byte; CRC now mismatches
 
-  Engine reopened(dir, EngineOptions{false});
+  Engine reopened(dir, no_fsync());
   EXPECT_FALSE(reopened.snapshot());
   EXPECT_TRUE(reopened.snapshot_corrupt());
   // Recovery degrades to replaying every surviving WAL record.
