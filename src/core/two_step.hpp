@@ -19,6 +19,8 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <variant>
 
 #include "consensus/env.hpp"
 #include "consensus/types.hpp"
@@ -131,7 +133,76 @@ class TwoStepProcess {
   [[nodiscard]] consensus::Value initial_value() const noexcept { return initial_val_; }
   [[nodiscard]] consensus::ProcessId vote_proposer() const noexcept { return proposer_; }
 
+  /// Feeds this process's complete state to `h`, one std::uint64_t word at a
+  /// time, for the model checker's visited-state table: the Figure 1 fields,
+  /// the fast voters, every led ballot (its 1Bs in arrival order, 2A flags
+  /// and value, 2B voters), and the start and notification flags.  Leaves
+  /// out proposed_at_, a clock reading that only feeds a metric.
+  template <typename H>
+  void digest(H& h) const {
+    digest(h, initial_val_);
+    digest(h, val_);
+    digest(h, decided_);
+    h(static_cast<std::uint64_t>(bal_));
+    h(static_cast<std::uint64_t>(vbal_));
+    h(static_cast<std::uint64_t>(proposer_));
+    h(fast_voters_.size());
+    for (const consensus::ProcessId q : fast_voters_) h(static_cast<std::uint64_t>(q));
+    h(led_.size());
+    for (const auto& [b, led] : led_) {
+      h(static_cast<std::uint64_t>(b));
+      h(led.arrival.size());
+      for (const consensus::ProcessId q : led.arrival) {
+        h(static_cast<std::uint64_t>(q));
+        digest(h, led.onebs.at(q));
+      }
+      h(led.sent_two_a);
+      h(led.exhausted_fast_path);
+      digest(h, led.two_a_value);
+      h(led.twobs.size());
+      for (const consensus::ProcessId q : led.twobs) h(static_cast<std::uint64_t>(q));
+    }
+    h(started_);
+    h(decide_notified_);
+  }
+
+  /// Feeds one message's content to `h`.
+  template <typename H>
+  static void digest(H& h, const Message& m) {
+    h(m.index());
+    std::visit(
+        [&h](const auto& msg) {
+          using T = std::decay_t<decltype(msg)>;
+          if constexpr (std::is_same_v<T, ProposeMsg> || std::is_same_v<T, DecideMsg>) {
+            digest(h, msg.v);
+          } else if constexpr (std::is_same_v<T, OneAMsg>) {
+            h(static_cast<std::uint64_t>(msg.b));
+          } else if constexpr (std::is_same_v<T, OneBMsg>) {
+            digest(h, msg);
+          } else {  // TwoAMsg, TwoBMsg
+            h(static_cast<std::uint64_t>(msg.b));
+            digest(h, msg.v);
+          }
+        },
+        m);
+  }
+
  private:
+  template <typename H>
+  static void digest(H& h, consensus::Value v) {
+    h(v.is_bottom());
+    h(v.is_bottom() ? 0 : static_cast<std::uint64_t>(v.get()));
+  }
+  template <typename H>
+  static void digest(H& h, const OneBMsg& m) {
+    h(static_cast<std::uint64_t>(m.b));
+    h(static_cast<std::uint64_t>(m.vbal));
+    digest(h, m.val);
+    h(static_cast<std::uint64_t>(m.proposer));
+    digest(h, m.decided);
+    digest(h, m.initial);
+  }
+
   /// How a decision was reached — the distinction the paper (and the
   /// fast-path metrics) care about.
   enum class DecideKind {

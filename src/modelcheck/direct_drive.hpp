@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -95,7 +94,7 @@ class DirectDrive {
     std::erase_if(pool_, [&](const Pending& m) { return m.from == p; });
   }
 
-  [[nodiscard]] const std::deque<Pending>& pool() const noexcept { return pool_; }
+  [[nodiscard]] const std::vector<Pending>& pool() const noexcept { return pool_; }
 
   /// Delivers the i-th pending message (0-based) regardless of destination;
   /// a message to a crashed process is consumed without effect.
@@ -256,8 +255,8 @@ class DirectDrive {
   consensus::ConsensusMonitor monitor_;
   std::vector<std::unique_ptr<DriveEnv>> envs_;
   std::vector<std::unique_ptr<P>> processes_;
-  std::vector<bool> crashed_;
-  std::deque<Pending> pool_;
+  std::vector<std::uint8_t> crashed_;
+  std::vector<Pending> pool_;
   std::vector<ArmedTimer> timers_;
   std::vector<int> armed_;  ///< per-process count of timers_ entries
   std::uint64_t next_seq_ = 1;

@@ -5,7 +5,9 @@
 // crash a process / inject a link fault).  The explorer searches schedules
 // depth-first and rebuilds every state it visits by replaying its schedule on
 // a fresh drive, so no process is ever copied; at each visited state it
-// checks the safety monitors and the scenario's invariant.  The fuzzer
+// checks the safety monitors and the scenario's invariant.  A visited-state
+// table, keyed by the state's digest (modelcheck/digest.hpp), keeps it from
+// expanding one state once per schedule that reaches it.  The fuzzer
 // samples random schedules instead, which scales to configurations the
 // exhaustive search cannot cover.  Both report the first
 // Agreement/Validity/Integrity or invariant violation found, together with
@@ -37,6 +39,18 @@
 // orders end in states that differ exactly in the drive's step counter, the
 // sequence numbers of messages sent and the ids of timers armed.
 //
+// The table records each state the search expands, with its depth left and
+// its sleep set.  A node whose state was already expanded with at least as
+// much depth left and a sleep set that is a subset of the node's own is cut
+// off: the expansions recorded for it took every action this node would
+// take, at least as deep.  Otherwise the node is expanded again, and the
+// entry keeps the larger depth left and the intersection of the sleep sets
+// (Godefroid, LNCS 1032, ch. 6).  Entries name sleeping actions by content
+// (kind, process and message), since seqs differ between the schedules that
+// reach a state.  Every node is still replayed and checked before the table
+// is consulted; only nodes with depth left are stored, and the table is
+// freed when the search returns.
+//
 // The fuzzer shards its trace budget into fixed-size chunks and runs the
 // chunks on an exec::ThreadPool.  Each chunk draws from a private RNG
 // seeded by splitmix64(seed, chunk_index), chunks strictly before the first
@@ -54,9 +68,11 @@
 #include <ranges>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/parallel_sweep.hpp"
+#include "modelcheck/digest.hpp"
 #include "modelcheck/direct_drive.hpp"
 #include "util/rng.hpp"
 
@@ -95,7 +111,9 @@ struct Scenario {
 
   /// Checked at every state the explorer visits and after every fuzz step,
   /// beside the safety monitors: returns a violation, or nothing.  Empty
-  /// (the default) checks nothing.
+  /// (the default) checks nothing.  The explorer skips the successors of a
+  /// state whose digest it has expanded, so the invariant must depend only
+  /// on what the digest covers (modelcheck/digest.hpp).
   std::function<std::optional<std::string>(const DirectDrive<P>&)> invariant;
 
   int max_depth = 48;
@@ -119,14 +137,17 @@ class Explorer {
   using Drive = DirectDrive<P>;
 
   /// Exhaustive sleep-set DFS up to `max_traces` complete schedules: the
-  /// leaves of the search, at max_depth, with no enabled action, or with
-  /// every enabled action asleep.
+  /// leaves of the search, at max_depth, with no enabled action, with every
+  /// enabled action asleep, or at a state the table already covers.
   static ExploreResult explore(const Scenario<P>& scenario, long max_traces = 20000) {
     ExploreResult result;
     std::vector<int> schedule;  // the path to the node at `depth`
     // frames[d] is the path's node at depth d.  Frames are reused, so their
     // vectors keep their capacity for the whole search.
     std::vector<Frame> frames;
+    Table table;
+    std::vector<Digest> pending;       // message digests of the pool, by slot
+    std::vector<std::uint64_t> names;  // the node's sleep set, by content
     std::size_t depth = 0;
     bool fresh = true;  // frames[depth] has not been visited yet
     for (;;) {
@@ -148,11 +169,20 @@ class Explorer {
         }
         frame.todo.clear();
         frame.next = 0;
-        if (static_cast<int>(depth) < scenario.max_depth) {
-          const Counts counts = count_actions(scenario, *drive, baseline);
-          for (int a = 0; a < counts.total(); ++a) {
-            const Action action = decode(scenario, *drive, counts, a);
-            if (!asleep(frame.sleep, action)) frame.todo.push_back(action);
+        const int left = scenario.max_depth - static_cast<int>(depth);
+        if (left > 0) {
+          const Digest key = state_digest(*drive, pending);
+          names.clear();
+          for (const Action& b : frame.sleep) names.push_back(b.name);
+          std::sort(names.begin(), names.end());
+          names.erase(std::unique(names.begin(), names.end()), names.end());
+          if (table.expand(key, left, names)) {
+            const Counts counts = count_actions(scenario, *drive, baseline);
+            for (int a = 0; a < counts.total(); ++a) {
+              Action action = decode(scenario, *drive, counts, a);
+              action.name = name(action, pending);
+              if (!asleep(frame.sleep, action)) frame.todo.push_back(action);
+            }
           }
         }
         if (frame.todo.empty()) ++result.traces;
@@ -276,6 +306,68 @@ class Explorer {
     /// The message's receiver; the timer's owner; the crash or partition
     /// victim.  With kind and seq, the action's identity across states.
     consensus::ProcessId process = consensus::kNoProcess;
+    /// The action by content, the same on every path to the state: kind,
+    /// process and message, never seq.  Set by explore only.
+    std::uint64_t name = 0;
+  };
+
+  /// Action::name for `a`, decoded at a state whose pool has the message
+  /// digests `pending`.
+  [[nodiscard]] static std::uint64_t name(const Action& a, const std::vector<Digest>& pending) {
+    Hasher h;
+    h(static_cast<std::uint64_t>(a.kind));
+    h(static_cast<std::uint64_t>(a.process));
+    if (a.kind == Kind::kDeliver || a.kind == Kind::kDrop || a.kind == Kind::kDuplicate) {
+      h(pending[a.slot].a);
+      h(pending[a.slot].b);
+    }
+    return h.digest().a;
+  }
+
+  /// The visited-state table: for each state the search expanded, the most
+  /// depth left it was expanded with and a sleep set by content names.  The
+  /// names of all entries share one arena; an entry's set only shrinks, so
+  /// it is rewritten in place.
+  class Table {
+   public:
+    /// Whether a node at state `key` with `left` steps of depth left and the
+    /// sleep set `sleep` (sorted, unique content names) must be expanded.
+    /// It need not be when the state was expanded with at least as much
+    /// depth left and a sleep set that is a subset of `sleep`.  Otherwise
+    /// the entry keeps the larger depth left and the intersection.
+    bool expand(const Digest& key, int left, const std::vector<std::uint64_t>& sleep) {
+      const auto [it, inserted] = entries_.try_emplace(key);
+      Entry& e = it->second;
+      if (inserted) {
+        e = Entry{static_cast<std::uint32_t>(names_.size()),
+                  static_cast<std::uint32_t>(sleep.size()), left};
+        names_.insert(names_.end(), sleep.begin(), sleep.end());
+        return true;
+      }
+      const auto first = names_.begin() + e.offset;
+      const auto last = first + e.count;
+      if (e.left >= left && std::includes(sleep.begin(), sleep.end(), first, last)) return false;
+      e.left = std::max(e.left, left);
+      e.count = static_cast<std::uint32_t>(
+          std::remove_if(first, last,
+                         [&](std::uint64_t n) {
+                           return !std::binary_search(sleep.begin(), sleep.end(), n);
+                         }) -
+          first);
+      return true;
+    }
+
+   private:
+    struct Entry {
+      std::uint32_t offset = 0;  ///< the sleep set is names_[offset, offset + count)
+      std::uint32_t count = 0;
+      int left = 0;
+    };
+    struct Hash {
+      std::size_t operator()(const Digest& d) const noexcept { return d.a; }
+    };
+    std::unordered_map<Digest, Entry, Hash> entries_;
+    std::vector<std::uint64_t> names_;
   };
 
   /// The DFS node at one depth of the current path.
@@ -333,6 +425,7 @@ class Explorer {
       auto drive = make_drive(scenario);
       const int baseline = setup_crashes(scenario, *drive);
       std::vector<int> schedule;
+      schedule.reserve(static_cast<std::size_t>(std::max(max_steps, 0)));
       for (int s = 0; s < max_steps; ++s) {
         const Counts counts = count_actions(scenario, *drive, baseline);
         if (counts.total() == 0) break;
@@ -381,9 +474,12 @@ class Explorer {
     const int pool = static_cast<int>(drive.pool().size());
     const auto up = [&](consensus::ProcessId p) { return !drive.crashed(p); };
     c.deliveries = pool;
-    if (scenario.explore_timers)
-      c.timers =
-          count(all_processes(drive), [&](consensus::ProcessId p) { return can_fire(drive, p); });
+    int all_up = 0;
+    for (consensus::ProcessId p = 0; p < drive.config().n; ++p) {
+      if (drive.crashed(p)) continue;
+      ++all_up;
+      if (scenario.explore_timers && drive.armed_timers(p) > 0) ++c.timers;
+    }
     // Only crashes the explorer itself performed count against the budget;
     // processes already down after `setup` are the scenario's premise.
     const int alive = count(scenario.may_crash, up);
@@ -394,7 +490,7 @@ class Explorer {
     if (drive.injected_duplicates() < scenario.faults.duplicates) c.duplicates = pool;
     // Partitioning an empty pool would be a no-op.
     if (drive.injected_partitions() < scenario.faults.partitions && pool > 0)
-      c.partitions = count(all_processes(drive), up);
+      c.partitions = all_up;
     return c;
   }
 

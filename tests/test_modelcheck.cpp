@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/two_step.hpp"
+#include "modelcheck/digest.hpp"
 #include "modelcheck/direct_drive.hpp"
 #include "modelcheck/explorer.hpp"
 
@@ -151,6 +152,17 @@ TEST(Explorer, TaskAtBoundDepthSixIsExhausted) {
   EXPECT_LT(r.traces, 135'721);
 }
 
+TEST(Explorer, TaskAtBoundDepthEightIsExhausted) {
+  // Sleep sets alone replay 3,048,833 nodes for the depth-8 space, one per
+  // schedule that reaches a state; the visited-state table expands a state
+  // again only with more depth left or a sleep set that is not a superset
+  // of the stored one, and cuts that to about 300,000.
+  const auto scenario = tiny_task_scenario(SelectionPolicy::kPaper, 1, 8);
+  const ExploreResult r = Explorer<TwoStepProcess>::explore(scenario, 20'000'000);
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_FALSE(r.violation) << r.what;
+}
+
 TEST(Explorer, ReportsReplayableSchedules) {
   // Use a mutant so a violation exists (the fuzzer finds it quickly), then
   // replay its schedule and check the violation reproduces exactly.  The
@@ -212,10 +224,11 @@ std::string project(const DirectDrive<TwoStepProcess>& d) {
 }
 
 /// The states a plain DFS reaches: every interleaving of deliveries, timer
-/// fires, mid-step crashes and drops, each state rebuilt from the root.
-/// Independent of Explorer's action encoding.
+/// fires, mid-step crashes, drops, duplicates and partitions, each state
+/// rebuilt from the root.  Independent of Explorer's action encoding.
+/// `seen` collects the states' projections, `digests` their full digests.
 void plain_dfs(const Scenario<TwoStepProcess>& s, std::vector<std::pair<char, int>>& path,
-               int crashes, std::set<std::string>& seen) {
+               int crashes, std::set<std::string>& seen, std::set<Digest>& digests) {
   DirectDrive<TwoStepProcess> d{s.config, s.factory};
   s.setup(d);
   for (const auto& [kind, arg] : path) {
@@ -223,10 +236,13 @@ void plain_dfs(const Scenario<TwoStepProcess>& s, std::vector<std::pair<char, in
       case 'm': d.deliver_index(static_cast<std::size_t>(arg)); break;
       case 't': d.fire_next_timer(arg); break;
       case 'c': d.crash_suppressing_outbox(arg); break;
+      case 'u': d.duplicate_index(static_cast<std::size_t>(arg)); break;
+      case 'q': d.drop_all_for(arg); break;
       default: d.drop_index(static_cast<std::size_t>(arg)); break;
     }
   }
   seen.insert(project(d));
+  digests.insert(state_digest(d));
   if (static_cast<int>(path.size()) == s.max_depth) return;
   std::vector<std::pair<char, int>> moves;
   const int pool = static_cast<int>(d.pool().size());
@@ -238,18 +254,26 @@ void plain_dfs(const Scenario<TwoStepProcess>& s, std::vector<std::pair<char, in
       if (!d.crashed(p)) moves.emplace_back('c', p);
   if (d.injected_drops() < s.faults.drops)
     for (int i = 0; i < pool; ++i) moves.emplace_back('d', i);
+  if (d.injected_duplicates() < s.faults.duplicates)
+    for (int i = 0; i < pool; ++i) moves.emplace_back('u', i);
+  if (d.injected_partitions() < s.faults.partitions && pool > 0)
+    for (ProcessId p = 0; p < s.config.n; ++p)
+      if (!d.crashed(p)) moves.emplace_back('q', p);
   for (const auto& move : moves) {
     path.push_back(move);
-    plain_dfs(s, path, crashes + (move.first == 'c' ? 1 : 0), seen);
+    plain_dfs(s, path, crashes + (move.first == 'c' ? 1 : 0), seen, digests);
     path.pop_back();
   }
 }
 
 TEST(Explorer, SleepSetSearchReachesEveryStateOfThePlainSearch) {
-  // Partial-order reduction must prune schedules, never states: the set of
-  // states the sleep-set search visits (collected through the invariant
-  // hook) equals the plain DFS's on each space.
-  auto space = [](int n, Mode mode, int depth, int drops) {
+  // Partial-order reduction and the visited-state table must prune
+  // schedules, never states: the set of states the search visits (collected
+  // through the invariant hook) equals the plain DFS's on each space, both
+  // as projections and as full digests.  Duplicates put messages of equal
+  // content in the pool, which the table's content-named sleep sets merge.
+  auto space = [](int n, Mode mode, int depth, int drops, int duplicates = 0,
+                  int partitions = 0) {
     const SystemConfig cfg{n, 1, 1};
     Scenario<TwoStepProcess> s;
     s.config = cfg;
@@ -261,6 +285,8 @@ TEST(Explorer, SleepSetSearchReachesEveryStateOfThePlainSearch) {
     for (ProcessId p = 0; p < n; ++p) s.may_crash.push_back(p);
     s.crash_budget = 1;
     s.faults.drops = drops;
+    s.faults.duplicates = duplicates;
+    s.faults.partitions = partitions;
     s.max_depth = depth;
     return s;
   };
@@ -269,25 +295,105 @@ TEST(Explorer, SleepSetSearchReachesEveryStateOfThePlainSearch) {
       {space(3, Mode::kTask, 4, 0), 896},   {space(3, Mode::kTask, 5, 0), 3041},
       {space(3, Mode::kObject, 4, 0), 455}, {space(3, Mode::kObject, 5, 0), 1252},
       {space(4, Mode::kTask, 4, 0), 4610},  {space(3, Mode::kTask, 4, 1), 1508},
+      {space(3, Mode::kTask, 4, 0, 1), 2537},  {space(3, Mode::kTask, 4, 0, 0, 1), 1496},
   };
   for (const auto& [plain_space, states] : spaces) {
     std::set<std::string> plain;
+    std::set<Digest> plain_digests;
     std::vector<std::pair<char, int>> path;
-    plain_dfs(plain_space, path, 0, plain);
+    plain_dfs(plain_space, path, 0, plain, plain_digests);
 
     std::set<std::string> reduced;
+    std::set<Digest> reduced_digests;
     Scenario<TwoStepProcess> s = plain_space;
-    s.invariant = [&reduced](const DirectDrive<TwoStepProcess>& d) -> std::optional<std::string> {
+    s.invariant = [&](const DirectDrive<TwoStepProcess>& d) -> std::optional<std::string> {
       reduced.insert(project(d));
+      reduced_digests.insert(state_digest(d));
       return std::nullopt;
     };
     const ExploreResult r = Explorer<TwoStepProcess>::explore(s, 20'000'000);
     ASSERT_TRUE(r.exhausted);
     EXPECT_FALSE(r.violation) << r.what;
     EXPECT_EQ(plain.size(), states);
-    EXPECT_EQ(reduced, plain) << "n=" << s.config.n << " depth=" << s.max_depth
-                              << " drops=" << s.faults.drops;
+    const auto where = [&s] {
+      std::ostringstream os;
+      os << "n=" << s.config.n << " depth=" << s.max_depth << " drops=" << s.faults.drops
+         << " duplicates=" << s.faults.duplicates << " partitions=" << s.faults.partitions;
+      return os.str();
+    };
+    EXPECT_EQ(reduced, plain) << where();
+    EXPECT_EQ(reduced_digests, plain_digests) << where();
   }
+}
+
+// ---------- state digests ----------
+
+bool from_to(const DirectDrive<TwoStepProcess>::Pending& m, ProcessId from, ProcessId to) {
+  return m.from == from && m.to == to;
+}
+
+TEST(StateDigest, CommutedOrdersOfIndependentActionsGiveEqualDigests) {
+  // p1 and p2 each take a Propose from p0 and fire a timer, in opposite
+  // orders: their 2B replies get swapped seqs and their re-armed timers
+  // swapped ids, which the digest must not see.
+  const SystemConfig cfg{3, 1, 1};
+  auto drive = [&cfg](ProcessId first, ProcessId second) {
+    auto d = std::make_unique<DirectDrive<TwoStepProcess>>(cfg, factory(cfg, Mode::kTask));
+    d->start_all();
+    d->propose(0, Value{1});
+    for (const ProcessId p : {first, second}) {
+      EXPECT_EQ(d->deliver_where([p](const auto& m) { return from_to(m, 0, p); }, 1), 1);
+      EXPECT_TRUE(d->fire_next_timer(p));
+    }
+    return d;
+  };
+  const auto d12 = drive(1, 2);
+  const auto d21 = drive(2, 1);
+  const auto seq_of_reply = [](const DirectDrive<TwoStepProcess>& d, ProcessId from) {
+    for (const auto& m : d.pool())
+      if (from_to(m, from, 0)) return m.seq;
+    return std::uint64_t{0};
+  };
+  ASSERT_NE(seq_of_reply(*d12, 1), 0u);
+  EXPECT_NE(seq_of_reply(*d12, 1), seq_of_reply(*d21, 1));
+  EXPECT_EQ(state_digest(*d12), state_digest(*d21));
+}
+
+TEST(StateDigest, SeesBookkeepingThatTheAcceptorProjectionOmits) {
+  // n=4, e=1: one fast vote or one 1B leaves p0's acceptor state as it was.
+  // Each pair of drives below differs only in whether p0 took that message
+  // or it vanished (drop_where is no injected fault), so project() merges
+  // them; fast_voters_ and led_ tell them apart.
+  const SystemConfig cfg{4, 1, 1};
+  auto drive = [&cfg] {
+    auto d = std::make_unique<DirectDrive<TwoStepProcess>>(cfg, factory(cfg, Mode::kTask));
+    d->start_all();
+    return d;
+  };
+  auto taken_or_lost = [&](auto prepare, auto is_reply) {
+    auto taken = drive();
+    auto lost = drive();
+    prepare(*taken);
+    prepare(*lost);
+    EXPECT_EQ(taken->deliver_where(is_reply, 1), 1);
+    EXPECT_EQ(lost->drop_where(is_reply), 1);
+    EXPECT_EQ(project(*taken), project(*lost));
+    EXPECT_NE(state_digest(*taken), state_digest(*lost));
+  };
+  // A fast vote: p1's 2B for p0's proposal.
+  taken_or_lost(
+      [](DirectDrive<TwoStepProcess>& d) {
+        d.propose(0, Value{1});
+        d.deliver_where([](const auto& m) { return from_to(m, 0, 1); }, 1);
+      },
+      [](const auto& m) { return from_to(m, 1, 0); });
+  // A received 1B: p0 leads a ballot and p1 answers its 1A.
+  taken_or_lost(
+      [](DirectDrive<TwoStepProcess>& d) {
+        d.fire_next_timer(0);
+        d.deliver_where([](const auto& m) { return from_to(m, 0, 1); }, 1);
+      },
+      [](const auto& m) { return from_to(m, 1, 0); });
 }
 
 TEST(Explorer, InvariantViolationIsReportedWithItsSchedule) {
@@ -383,6 +489,15 @@ struct PokeProcess {
     if (on_decide) on_decide(Value{m});
   }
   void on_timer(consensus::TimerId) {}
+
+  template <typename H>
+  void digest(H& h) const {
+    h(decided_);
+  }
+  template <typename H>
+  static void digest(H& h, const Message& m) {
+    h(static_cast<std::uint64_t>(m));
+  }
 
   consensus::Env<Message>* env_;
   bool decided_ = false;
