@@ -29,18 +29,19 @@ constexpr int kSeeds = 20;
 const char* kRegion[] = {"us-east", "us-west", "eu-west", "eu-central", "tokyo",
                          "singapore", "mumbai", "sao-paulo", "sydney"};
 
+/// Replicas 0..n-1 in the first n regions of the nine-region table.
+std::unique_ptr<net::WanMatrix> wan_model(int n) {
+  const geo::LatencyMatrix nine = geo::LatencyMatrix::nine_regions();
+  return std::make_unique<net::WanMatrix>(nine, geo::round_robin_placement(n, nine));
+}
+
 /// Commit latency (ms) at the proxy for a lone proposal, paper protocol.
 /// nullopt when the run ended without a decision at the proxy — the caller
 /// must skip (and count) it, never average it: a -1 sentinel inside a mean
 /// silently *improves* the reported latency.
 std::optional<double> object_latency(int n, ProcessId proxy, std::uint64_t seed) {
   const SystemConfig cfg{n, kF, kE};
-  auto model = std::make_unique<net::WanMatrix>(
-      net::WanMatrix::nine_regions(2).restrict([n] {
-        std::vector<int> sites(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) sites[static_cast<std::size_t>(i)] = i;
-        return sites;
-      }()));
+  auto model = wan_model(n);
   auto r = harness::RunSpec(cfg).model(std::move(model)).seed(seed).core(core::Mode::kObject);
   consensus::SyncScenario s;
   s.proposals = {{proxy, Value{7}}};
@@ -53,12 +54,7 @@ std::optional<double> object_latency(int n, ProcessId proxy, std::uint64_t seed)
 /// Commit latency (ms) at the proxy for a lone proposal, Fast Paxos.
 std::optional<double> fastpaxos_latency(int n, ProcessId proxy, std::uint64_t seed) {
   const SystemConfig cfg{n, kF, kE};
-  auto model = std::make_unique<net::WanMatrix>(
-      net::WanMatrix::nine_regions(2).restrict([n] {
-        std::vector<int> sites(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) sites[static_cast<std::size_t>(i)] = i;
-        return sites;
-      }()));
+  auto model = wan_model(n);
   auto r = harness::RunSpec(cfg).model(std::move(model)).seed(seed).fastpaxos();
   consensus::SyncScenario s;
   s.proposals = {{proxy, Value{7}}};

@@ -6,8 +6,8 @@
 // Part 1 — crash recovery: a proposer wins the fast path and crashes before
 // anyone learns its decision; the Ω-elected leader runs a ballot, and the
 // value-selection rule (Figure 1 lines 22-31) re-derives the decided value
-// from the surviving votes.  The full message trace is printed, with the
-// DropReason of every lost message.
+// from the surviving votes.  The run's trace is printed: every message
+// send, delivery and loss, and the leader's ballot and value selection.
 //
 // Part 2 — chaos: the same protocol runs under a deterministic FaultPlan
 // (20% message drop, duplication, a partition that heals) with a
@@ -17,9 +17,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/messages.hpp"
 #include "faults/fault_plan.hpp"
 #include "harness/run_spec.hpp"
+#include "obs/export.hpp"
 
 using namespace twostep;
 using consensus::ProcessId;
@@ -32,7 +32,9 @@ bool crash_recovery_demo() {
   const SystemConfig config{3, /*f=*/1, /*e=*/1};  // the task bound for e=1, f=1
   const sim::Tick delta = 100;
 
-  auto runner = harness::RunSpec(config).delta(delta).trace().core(core::Mode::kTask);
+  obs::RunTracer tracer;
+  auto runner =
+      harness::RunSpec(config).delta(delta).probe({&tracer, nullptr}).core(core::Mode::kTask);
 
   runner->cluster().start_all();
   // p2 proposes the highest value and crashes right after broadcasting.
@@ -42,15 +44,9 @@ bool crash_recovery_demo() {
   runner->cluster().propose(1, Value{2});
   runner->cluster().run();
 
-  std::printf("message trace (send -> deliver):\n");
-  for (const auto& entry : runner->cluster().network().trace()) {
-    std::printf("  t=%4lld  p%d -> p%d  %-40s  %s\n",
-                static_cast<long long>(entry.send_time), entry.from, entry.to,
-                core::to_string(entry.payload).c_str(),
-                entry.deliver_time < 0
-                    ? ("lost: " + std::string(faults::drop_reason_name(entry.drop))).c_str()
-                    : ("delivered t=" + std::to_string(entry.deliver_time)).c_str());
-  }
+  std::printf("run trace:\n");
+  for (const obs::TraceEvent& event : tracer.events())
+    std::printf("  %s\n", obs::format_event(event).c_str());
 
   const auto& monitor = runner->monitor();
   std::printf("\np2 proposed 9, got votes from p0 and p1, and crashed.\n");

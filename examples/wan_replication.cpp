@@ -21,8 +21,9 @@ int main() {
   const SystemConfig config{5, /*f=*/2, /*e=*/2};
   const char* region[] = {"us-east", "us-west", "eu-west", "eu-central", "tokyo"};
 
-  auto model = std::make_unique<net::WanMatrix>(
-      net::WanMatrix::nine_regions(2).restrict({0, 1, 2, 3, 4}));
+  const geo::LatencyMatrix nine = geo::LatencyMatrix::nine_regions();
+  auto model =
+      std::make_unique<net::WanMatrix>(nine, geo::round_robin_placement(config.n, nine));
   const sim::Tick delta = model->delta();
   auto runner = harness::RunSpec(config).model(std::move(model)).seed(2026).rsm();
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI validator for the observability artifacts (PR 6).
 
-Two sub-commands, both exiting non-zero with a diagnostic on any
+Each sub-command exits non-zero with a diagnostic on any
 malformed artifact:
 
   check_obs_artifacts.py trace MERGED.json [--min-processes N]
@@ -11,6 +11,14 @@ malformed artifact:
       recorded span, at least one cross-process causal flow arrow, and
       a WAL-fsync span (the acceptance criterion for wire-propagated
       tracing).
+
+  check_obs_artifacts.py sim TRACE.json
+      Validates a simulated run's Chrome trace (`twostep_cli run
+      --trace-out`), written by the same exporter as a merged live trace:
+      well-formed JSON, process-name metadata for at least 3 processes,
+      complete ("X") events whose span ids are decimal strings, every
+      non-root parent id resolving to a recorded span, and at least one
+      message-hop flow arrow with "s" and "f" events balanced.
 
   check_obs_artifacts.py bench FILE.json [--require FIELD ...]
       Validates a BENCH_*.json artifact against the twostep-bench/1
@@ -75,7 +83,10 @@ def load(path: str):
         fail(f"{path}: {e}")
 
 
-def check_trace(path: str, min_processes: int) -> None:
+def scan_chrome_trace(path: str):
+    """Reads a Chrome trace written by obs::write_chrome_spans.  Returns
+    (named pids, span id -> pid, span id -> parent id, slice names, flow
+    starts, flow finishes); fails on a malformed event."""
     doc = load(path)
     if not isinstance(doc, dict):
         fail(f"{path}: top level is not an object")
@@ -109,7 +120,11 @@ def check_trace(path: str, min_processes: int) -> None:
             flow_starts += 1
         elif ph == "f":
             flow_finishes += 1
+    return named_pids, span_pids, parents, names, flow_starts, flow_finishes
 
+
+def check_trace(path: str, min_processes: int) -> None:
+    named_pids, span_pids, parents, names, flow_starts, flow_finishes = scan_chrome_trace(path)
     if len(named_pids) < min_processes:
         fail(f"{path}: only {len(named_pids)} named processes, need {min_processes}")
     pids_with_spans = set(span_pids.values())
@@ -128,6 +143,30 @@ def check_trace(path: str, min_processes: int) -> None:
     print(
         f"{path}: OK — {len(span_pids)} spans, {len(pids_with_spans)} processes, "
         f"{len(cross)} cross-process links, {flow_starts} flow arrows"
+    )
+
+
+SIM_MIN_PROCESSES = 3  # the smallest simulated configuration (n = 3)
+
+
+def check_sim(path: str) -> None:
+    named_pids, span_pids, parents, _, flow_starts, flow_finishes = scan_chrome_trace(path)
+    if len(named_pids) < SIM_MIN_PROCESSES:
+        fail(f"{path}: only {len(named_pids)} named processes, need {SIM_MIN_PROCESSES}")
+    if not span_pids:
+        fail(f"{path}: no X events")
+    bad_ids = [s for s in span_pids if not s.isdigit()]
+    if bad_ids:
+        fail(f"{path}: span ids that are not decimal strings: {bad_ids[:5]}")
+    dangling = [s for s, p in parents.items() if p != "0" and p not in span_pids]
+    if dangling:
+        fail(f"{path}: spans with dangling parents: {dangling[:5]}")
+    if flow_starts == 0 or flow_starts != flow_finishes:
+        fail(f"{path}: no or unbalanced message flow arrows "
+             f"({flow_starts} s / {flow_finishes} f)")
+    print(
+        f"{path}: OK — {len(span_pids)} spans, {len(named_pids)} processes, "
+        f"{flow_starts} flow arrows"
     )
 
 
@@ -405,6 +444,8 @@ def main() -> None:
     t = sub.add_parser("trace", help="validate a merged Chrome trace")
     t.add_argument("file")
     t.add_argument("--min-processes", type=int, default=3)
+    sm = sub.add_parser("sim", help="validate a simulated run's Chrome trace")
+    sm.add_argument("file")
     b = sub.add_parser("bench", help="validate a BENCH_*.json artifact")
     b.add_argument("file")
     b.add_argument("--require", nargs="*", default=[])
@@ -423,6 +464,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.cmd == "trace":
         check_trace(args.file, args.min_processes)
+    elif args.cmd == "sim":
+        check_sim(args.file)
     elif args.cmd == "n3":
         check_n3(args.file, args.min_speedup)
     elif args.cmd == "n4":

@@ -40,7 +40,6 @@ namespace twostep::consensus {
 struct RunOptions {
   std::uint64_t seed = 1;
   obs::Probe probe{};
-  bool trace = false;  ///< payload-level network tracing (TraceEntry log)
 
   /// Fault-injection stage; null keeps links reliable.  The plan's
   /// crash/restart schedule is applied by the cluster (through its monitor
@@ -60,13 +59,13 @@ class Cluster {
 
   Cluster(SystemConfig config, std::unique_ptr<net::LatencyModel> model, Factory factory,
           std::uint64_t seed = 1)
-      : Cluster(config, std::move(model), std::move(factory), RunOptions{seed, {}, false, {}, {}}) {}
+      : Cluster(config, std::move(model), std::move(factory), RunOptions{seed, {}, {}, {}}) {}
 
   Cluster(SystemConfig config, std::unique_ptr<net::LatencyModel> model, Factory factory,
           RunOptions run)
       : config_(config),
         network_(simulator_, std::move(model), config.n, run.seed,
-                 net::NetworkConfig{run.faults, run.probe, run.trace}) {
+                 net::NetworkConfig{run.faults, run.probe}) {
     if (!factory) throw std::invalid_argument("Cluster: null protocol factory");
     if (run.reliable) {
       net::ReliableConfig rc = *run.reliable;

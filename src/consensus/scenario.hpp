@@ -65,9 +65,9 @@ class ScenarioRunner {
   ScenarioRunner(SystemConfig config, std::unique_ptr<net::LatencyModel> model,
                  Options base_options, std::uint64_t seed = 1)
       : ScenarioRunner(config, std::move(model), base_options,
-                       RunOptions{seed, base_options.probe, false, {}, {}}) {}
+                       RunOptions{seed, base_options.probe, {}, {}}) {}
 
-  /// Full-control constructor: the RunOptions carry seed, probe, tracing and
+  /// Full-control constructor: the RunOptions carry seed, probe and
   /// the chaos configuration (fault plan, reliable channel).  The probe
   /// rides in twice: inside each protocol's Options (protocol events) and at
   /// the harness level via RunOptions (network/simulator/cluster events);

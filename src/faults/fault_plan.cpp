@@ -5,20 +5,9 @@
 
 namespace twostep::faults {
 
-const char* drop_reason_name(DropReason reason) noexcept {
-  switch (reason) {
-    case DropReason::kNone: return "none";
-    case DropReason::kCrashed: return "crashed";
-    case DropReason::kInjected: return "injected";
-    case DropReason::kPartition: return "partition";
-  }
-  return "?";
-}
-
 const char* drop_event_label(DropReason reason) noexcept {
   switch (reason) {
     case DropReason::kNone: return "drop.none";
-    case DropReason::kCrashed: return "drop.crashed";
     case DropReason::kInjected: return "drop.injected";
     case DropReason::kPartition: return "drop.partition";
   }

@@ -35,20 +35,14 @@
 
 namespace twostep::faults {
 
-/// Why a traced message was never delivered.  kNone on a trace entry with
-/// deliver_time < 0 means the message was still in flight when the run
-/// ended (previously conflated with "recipient crashed").
+/// Why the fault plan dropped a message.
 enum class DropReason : std::uint8_t {
-  kNone = 0,    ///< delivered, or still in flight at end of run
-  kCrashed,     ///< sender or recipient was crashed (crash-stop semantics)
+  kNone = 0,    ///< not dropped
   kInjected,    ///< dropped by a FaultPlan drop rule
   kPartition,   ///< severed by an active FaultPlan partition
 };
 
-/// Stable lowercase name ("none", "crashed", "injected", "partition").
-[[nodiscard]] const char* drop_reason_name(DropReason reason) noexcept;
-
-/// Static trace-event label ("drop.crashed", "drop.injected", ...).
+/// Stable trace-event label ("drop.none", "drop.injected", "drop.partition").
 [[nodiscard]] const char* drop_event_label(DropReason reason) noexcept;
 
 class FaultPlan {

@@ -6,18 +6,32 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "net/latency.hpp"
-
 namespace twostep::geo {
 namespace {
 
-// Names for the nine-region table, in net::WanMatrix::nine_regions order.
+// The nine-region table: names, then one-way latencies (ms) in that order.
+// Values are RTT/2 rounded from published inter-region measurements; exact
+// numbers only shape magnitudes.  Same-region delay is 0: live loopback
+// already has real latency, and the simulator floors every link at one tick.
 const std::vector<std::string>& nine_region_names() {
   static const std::vector<std::string> names = {
       "us-east", "us-west", "eu-west", "eu-central", "ap-northeast",
       "ap-southeast", "ap-south", "sa-east", "au-southeast"};
   return names;
 }
+constexpr std::int64_t kNineRegionsMs[9][9] = {
+    //  use  usw  euw  euc  jpn  sgp  ind  bra  aus
+    {0, 35, 38, 45, 75, 105, 91, 57, 100},    // us-east (Virginia)
+    {35, 0, 65, 72, 50, 82, 110, 87, 70},     // us-west (Oregon)
+    {38, 65, 0, 12, 105, 87, 60, 92, 130},    // eu-west (Ireland)
+    {45, 72, 12, 0, 112, 80, 55, 100, 137},   // eu-central (Frankfurt)
+    {75, 50, 105, 112, 0, 35, 60, 128, 52},   // ap-northeast (Tokyo)
+    {105, 82, 87, 80, 35, 0, 27, 160, 46},    // ap-southeast (Singapore)
+    {91, 110, 60, 55, 60, 27, 0, 150, 72},    // ap-south (Mumbai)
+    {57, 87, 92, 100, 128, 160, 150, 0, 157}, // sa-east (Sao Paulo)
+    {100, 70, 130, 137, 52, 46, 72, 157, 0},  // au-southeast (Sydney)
+};
+constexpr std::int64_t kNineRegionsJitterMs = 2;
 
 std::int64_t scale_us(std::int64_t us, double scale) {
   const double scaled = static_cast<double>(us) * scale;
@@ -63,17 +77,11 @@ int LatencyMatrix::region_index(std::string_view name) const noexcept {
 
 LatencyMatrix LatencyMatrix::nine_regions(double scale) {
   if (!(scale > 0)) throw std::invalid_argument("LatencyMatrix: scale must be > 0");
-  const net::WanMatrix wan = net::WanMatrix::nine_regions(/*jitter=*/2);
-  const auto& ms = wan.one_way();
-  std::vector<std::vector<std::int64_t>> us(ms.size(), std::vector<std::int64_t>(ms.size()));
-  for (std::size_t i = 0; i < ms.size(); ++i)
-    for (std::size_t j = 0; j < ms.size(); ++j)
-      // The simulator's diagonal is 1 ms because its links need a positive
-      // tick; live loopback already has real latency, so same-region extra
-      // delay is zero.
-      us[i][j] = i == j ? 0 : scale_us(ms[i][j] * 1000, scale);
+  std::vector<std::vector<std::int64_t>> us(9, std::vector<std::int64_t>(9));
+  for (std::size_t i = 0; i < 9; ++i)
+    for (std::size_t j = 0; j < 9; ++j) us[i][j] = scale_us(kNineRegionsMs[i][j] * 1000, scale);
   return LatencyMatrix(nine_region_names(), std::move(us),
-                       scale_us(wan.jitter() * 1000, scale));
+                       scale_us(kNineRegionsJitterMs * 1000, scale));
 }
 
 LatencyMatrix LatencyMatrix::preset(std::string_view name, double scale) {

@@ -1,16 +1,15 @@
-// Per-link one-way delay matrices for the *live* cluster.
+// Per-link one-way delay matrices, for the live cluster and the simulator.
 //
-// The simulator prices the paper's WAN argument with net::WanMatrix (F2);
-// this is the same idea applied to real sockets: a geo::LatencyMatrix maps
-// (sender region, receiver region) to a base one-way delay in microseconds
-// plus a bounded uniform jitter, and the transport's ChaosInjector adds that
-// delay to every outbound protocol frame.  Replicas are assigned to regions
+// A geo::LatencyMatrix maps (sender region, receiver region) to a base
+// one-way delay in microseconds plus a bounded uniform jitter.  On real
+// sockets the transport's ChaosInjector adds that delay to every outbound
+// protocol frame; the simulator reads the same matrix through
+// net::WanMatrix (F2), at one tick per millisecond.  Replicas are assigned to regions
 // by a placement vector (replica index -> region index), so an n-replica
 // loopback cluster behaves like an n-site multi-region deployment.
 //
 // Matrices come from three places:
-//   - LatencyMatrix::nine_regions(scale): the F2 nine-region table
-//     (net::WanMatrix::nine_regions) converted ms -> µs and scaled,
+//   - LatencyMatrix::nine_regions(scale): the nine-region table, scaled,
 //   - a preset name ("nine-regions", "us-eu", "global"),
 //   - a matrix file (see from_file for the format).
 // from_spec() resolves a `--geo <file|preset>` CLI argument by trying the
@@ -52,11 +51,10 @@ class LatencyMatrix {
   /// Index of the named region, or -1 if this matrix has no such region.
   [[nodiscard]] int region_index(std::string_view name) const noexcept;
 
-  /// The F2 nine-region table (net::WanMatrix::nine_regions, one-way ms
-  /// between nine public-cloud regions) converted to microseconds and
-  /// multiplied by `scale`.  scale < 1 compresses the WAN for fast smoke
-  /// runs (0.01 turns 75 ms links into 750 µs links) without changing the
-  /// *shape* of the topology.  Intra-region delay is 0 (loopback baseline).
+  /// The nine-region table (one-way delays between nine public-cloud
+  /// regions, with 2 ms of jitter) in microseconds, multiplied by `scale`.
+  /// scale < 1 compresses the WAN for fast smoke runs (0.01 turns 75 ms
+  /// links into 750 µs links) without changing the *shape* of the topology.  Intra-region delay is 0 (loopback baseline).
   static LatencyMatrix nine_regions(double scale = 1.0);
 
   /// Named subsets of the nine-region table:

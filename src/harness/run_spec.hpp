@@ -3,7 +3,7 @@
 // Replaces the historical positional-default make_*_runner factories
 // (removed after their deprecation release).  A spec accumulates the
 // run's knobs — latency model, delta, seed, selection policy, probe,
-// payload tracing, fault plan, reliable channel — and a terminal method
+// fault plan, reliable channel — and a terminal method
 // (core / paxos / fastpaxos / rsm) consumes it into a ScenarioRunner:
 //
 //   auto runner = harness::RunSpec(config)
@@ -77,12 +77,6 @@ class RunSpec {
   /// network, simulator, cluster).
   RunSpec& probe(obs::Probe p) {
     run_.probe = p;
-    return *this;
-  }
-
-  /// Payload-level network tracing (Network::trace()).
-  RunSpec& trace(bool on = true) {
-    run_.trace = on;
     return *this;
   }
 

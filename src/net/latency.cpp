@@ -4,65 +4,24 @@
 
 namespace twostep::net {
 
-WanMatrix::WanMatrix(std::vector<std::vector<sim::Tick>> one_way, sim::Tick jitter)
-    : one_way_(std::move(one_way)), jitter_(jitter) {
-  if (one_way_.empty()) throw std::invalid_argument("WanMatrix: empty matrix");
-  if (jitter_ < 0) throw std::invalid_argument("WanMatrix: negative jitter");
-  sim::Tick max_latency = 0;
-  for (const auto& row : one_way_) {
-    if (row.size() != one_way_.size())
-      throw std::invalid_argument("WanMatrix: matrix must be square");
-    for (const sim::Tick cell : row) {
-      if (cell <= 0) throw std::invalid_argument("WanMatrix: latencies must be > 0");
-      max_latency = std::max(max_latency, cell);
+WanMatrix::WanMatrix(const geo::LatencyMatrix& matrix, const std::vector<int>& placement)
+    : sites_(static_cast<int>(placement.size())), jitter_(matrix.jitter_us() / kUsPerTick) {
+  one_way_.reserve(placement.size() * placement.size());
+  for (const int from : placement)
+    for (const int to : placement) {
+      one_way_.push_back(std::max<sim::Tick>(1, matrix.one_way_us(from, to) / kUsPerTick));
+      delta_ = std::max(delta_, one_way_.back());
     }
-  }
-  delta_ = max_latency + jitter_;
+  delta_ += jitter_;
 }
 
 sim::Tick WanMatrix::delivery_time(sim::Tick now, consensus::ProcessId from,
                                    consensus::ProcessId to, util::Rng& rng) const {
-  const auto n = static_cast<consensus::ProcessId>(one_way_.size());
-  if (from < 0 || from >= n || to < 0 || to >= n)
+  if (from < 0 || from >= sites_ || to < 0 || to >= sites_)
     throw std::out_of_range("WanMatrix: site index out of range");
-  const sim::Tick base = one_way_[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
+  const sim::Tick base = one_way_[static_cast<std::size_t>(from * sites_ + to)];
   const sim::Tick jitter = jitter_ > 0 ? rng.next_in(0, jitter_) : 0;
   return now + base + jitter;
-}
-
-WanMatrix WanMatrix::nine_regions(sim::Tick jitter) {
-  // One-way latencies (ms) between nine public-cloud regions, ordered:
-  // 0 us-east (Virginia), 1 us-west (Oregon), 2 eu-west (Ireland),
-  // 3 eu-central (Frankfurt), 4 ap-northeast (Tokyo), 5 ap-southeast
-  // (Singapore), 6 ap-south (Mumbai), 7 sa-east (Sao Paulo),
-  // 8 au-southeast (Sydney).  Values are RTT/2 rounded from published
-  // inter-region measurements; exact numbers only shape magnitudes.
-  const std::vector<std::vector<sim::Tick>> m = {
-      //  use  usw  euw  euc  jpn  sgp  ind  bra  aus
-      {1, 35, 38, 45, 75, 105, 91, 57, 100},   // us-east
-      {35, 1, 65, 72, 50, 82, 110, 87, 70},    // us-west
-      {38, 65, 1, 12, 105, 87, 60, 92, 130},   // eu-west
-      {45, 72, 12, 1, 112, 80, 55, 100, 137},  // eu-central
-      {75, 50, 105, 112, 1, 35, 60, 128, 52},  // ap-northeast
-      {105, 82, 87, 80, 35, 1, 27, 160, 46},   // ap-southeast
-      {91, 110, 60, 55, 60, 27, 1, 150, 72},   // ap-south
-      {57, 87, 92, 100, 128, 160, 150, 1, 157},// sa-east
-      {100, 70, 130, 137, 52, 46, 72, 157, 1}, // au-southeast
-  };
-  return WanMatrix(m, jitter);
-}
-
-WanMatrix WanMatrix::restrict(const std::vector<int>& sites) const {
-  std::vector<std::vector<sim::Tick>> sub(sites.size(), std::vector<sim::Tick>(sites.size()));
-  for (std::size_t i = 0; i < sites.size(); ++i)
-    for (std::size_t j = 0; j < sites.size(); ++j) {
-      const auto a = static_cast<std::size_t>(sites[i]);
-      const auto b = static_cast<std::size_t>(sites[j]);
-      if (a >= one_way_.size() || b >= one_way_.size())
-        throw std::out_of_range("WanMatrix::restrict: site out of range");
-      sub[i][j] = one_way_[a][b];
-    }
-  return WanMatrix(std::move(sub), jitter_);
 }
 
 }  // namespace twostep::net

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "consensus/types.hpp"
+#include "geo/latency_matrix.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -104,42 +105,31 @@ class PartialSynchrony final : public LatencyModel {
   sim::Tick chaos_max_;
 };
 
-/// Wide-area deployment: a per-pair one-way latency matrix (ticks are
-/// interpreted as milliseconds) plus bounded uniform jitter.  Used by the
-/// WAN experiments that reproduce the paper's "hundreds of milliseconds per
-/// command" motivation.
+/// Wide-area deployment: process i sits in region `placement[i]` of a
+/// geo::LatencyMatrix, whose one-way delays are read at one tick per
+/// millisecond, plus bounded uniform jitter.  Every delay is floored at one
+/// tick, because a simulated link needs a positive delay where the live
+/// matrix's same-region cells are 0.  Used by the WAN experiments that
+/// reproduce the paper's "hundreds of milliseconds per command" motivation.
 class WanMatrix final : public LatencyModel {
  public:
-  /// `one_way[i][j]` is the base one-way latency from site i to site j.
-  /// Diagonal entries model local loopback and may be small but must be >0.
-  WanMatrix(std::vector<std::vector<sim::Tick>> one_way, sim::Tick jitter);
+  static constexpr std::int64_t kUsPerTick = 1000;
+
+  /// Throws std::out_of_range for a placement entry outside the matrix.
+  WanMatrix(const geo::LatencyMatrix& matrix, const std::vector<int>& placement);
 
   [[nodiscard]] sim::Tick delivery_time(sim::Tick now, consensus::ProcessId from,
                                         consensus::ProcessId to, util::Rng& rng) const override;
 
   [[nodiscard]] sim::Tick delta() const override { return delta_; }
 
-  [[nodiscard]] int sites() const noexcept { return static_cast<int>(one_way_.size()); }
-
-  /// A 9-region matrix with realistic public-cloud inter-region one-way
-  /// latencies (milliseconds), used by the WAN benches and examples.
-  static WanMatrix nine_regions(sim::Tick jitter = 2);
-
-  /// Restriction of this matrix to the given subset of sites.
-  [[nodiscard]] WanMatrix restrict(const std::vector<int>& sites) const;
-
-  /// The raw one-way table (ticks = milliseconds) and jitter bound; the geo
-  /// subsystem converts these into live-link delay matrices so the emulated
-  /// WAN and the simulated F2 runs share one set of numbers.
-  [[nodiscard]] const std::vector<std::vector<sim::Tick>>& one_way() const noexcept {
-    return one_way_;
-  }
-  [[nodiscard]] sim::Tick jitter() const noexcept { return jitter_; }
+  [[nodiscard]] int sites() const noexcept { return sites_; }
 
  private:
-  std::vector<std::vector<sim::Tick>> one_way_;
+  int sites_;
+  std::vector<sim::Tick> one_way_;  ///< row-major sites_ x sites_, in ticks
   sim::Tick jitter_;
-  sim::Tick delta_;
+  sim::Tick delta_ = 0;
 };
 
 }  // namespace twostep::net

@@ -2,11 +2,11 @@
 //
 // Network<Msg> connects n endpoints through a LatencyModel on top of the
 // discrete-event simulator.  It implements crash-stop failures (a crashed
-// process neither sends nor receives) with optional restarts, full message
-// tracing (used by the lower-bound splicing harness), and a first-class
-// fault-injection stage: a faults::FaultPlan attached at construction sees
-// every message before it is scheduled and may drop it, duplicate it, delay
-// it past later messages, or sever it with a partition.  Links are reliable
+// process neither sends nor receives) with optional restarts, send/deliver/
+// drop events for an obs::RunTracer, and a first-class fault-injection
+// stage: a faults::FaultPlan attached at construction sees every message
+// before it is scheduled and may drop it, duplicate it, delay it past later
+// messages, or sever it with a partition.  Links are reliable
 // exactly when no plan is attached (the paper's Definition 2 regime); under
 // a lossy plan, net::ReliableChannel restores the reliable-link abstraction
 // via retransmission (see net/reliable.hpp).
@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,21 +35,6 @@
 
 namespace twostep::net {
 
-/// One traced message.  `deliver_time < 0` with `drop == kNone` means the
-/// message was still in flight when the run ended; `drop` otherwise records
-/// why it was lost (recipient crash, injected drop, partition).  Messages
-/// whose *sender* was already crashed are not traced at all (they never
-/// reached the network).
-template <typename Msg>
-struct TraceEntry {
-  sim::Tick send_time = 0;
-  sim::Tick deliver_time = -1;
-  consensus::ProcessId from = consensus::kNoProcess;
-  consensus::ProcessId to = consensus::kNoProcess;
-  faults::DropReason drop = faults::DropReason::kNone;
-  Msg payload{};
-};
-
 /// Construction-time network configuration.
 struct NetworkConfig {
   /// Fault-injection stage; null keeps links reliable and costs one pointer
@@ -60,11 +44,11 @@ struct NetworkConfig {
 
   /// Structured observability: send/deliver/drop events to the probe's
   /// tracer, per-message-type counters (net.sent.<Type> etc.) to its
-  /// registry.  Default (null) probe keeps observability off.
+  /// registry.  Default (null) probe keeps observability off.  A message
+  /// still in flight when the run ends has a send event and no deliver or
+  /// drop; an injected or partition drop is labelled with its reason
+  /// (faults::drop_event_label), a crash drop with the message type.
   obs::Probe probe{};
-
-  /// Payload tracing (off by default: traces copy every message).
-  bool trace = false;
 };
 
 template <typename Msg>
@@ -87,8 +71,7 @@ class Network {
         crashed_(static_cast<std::size_t>(n), false),
         rng_(seed),
         faults_(std::move(config.faults)),
-        probe_(config.probe),
-        tracing_(config.trace) {
+        probe_(config.probe) {
     if (!model_) throw std::invalid_argument("Network: null latency model");
     if (n < 1) throw std::invalid_argument("Network: need at least one process");
   }
@@ -105,8 +88,6 @@ class Network {
 
   /// Installs the tagged-delivery observer (see send_tagged).
   void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
-
-  [[nodiscard]] const std::vector<TraceEntry<Msg>>& trace() const { return trace_; }
 
   /// Swaps the probe mid-run (a default-constructed probe detaches).
   void reattach_probe(obs::Probe probe) {
@@ -177,8 +158,6 @@ class Network {
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
 
  private:
-  static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
-
   [[nodiscard]] std::size_t index(consensus::ProcessId p) const {
     if (p < 0 || p >= size()) throw std::out_of_range("Network: bad process id");
     return static_cast<std::size_t>(p);
@@ -214,10 +193,6 @@ class Network {
     faults::FaultPlan::Decision fate;
     if (faults_) fate = faults_->on_send(simulator_.now(), from, to, &msg);
     if (fate.dropped()) {
-      if (tracing_) {
-        TraceEntry<Msg> entry{simulator_.now(), -1, from, to, fate.drop, msg};
-        trace_.push_back(std::move(entry));
-      }
       if (label) {
         if (probe_.metrics) {
           counters_for(label).dropped->add();
@@ -243,29 +218,24 @@ class Network {
           fate.forced_time
               ? *fate.forced_time
               : model_->delivery_time(simulator_.now(), from, to, rng_) + fate.extra_delay;
-      std::size_t trace_slot = kNoSlot;
-      if (tracing_) {
-        trace_.push_back(TraceEntry<Msg>{simulator_.now(), -1, from, to,
-                                         faults::DropReason::kNone, msg});
-        trace_slot = trace_.size() - 1;
-      }
-      simulator_.schedule_at(when, [this, from, to, msg, trace_slot, seq, tag, tagged] {
-        deliver(from, to, msg, trace_slot, seq, tag, tagged);
+      simulator_.schedule_at(when, [this, from, to, msg, seq, tag, tagged] {
+        deliver(from, to, msg, seq, tag, tagged);
       });
     }
   }
 
   void deliver(consensus::ProcessId from, consensus::ProcessId to, const Msg& msg,
-               std::size_t trace_slot, std::uint64_t seq, std::uint64_t tag, bool tagged) {
+               std::uint64_t seq, std::uint64_t tag, bool tagged) {
     // Re-derive the label: the probe may have been (de)attached while the
     // message was in flight.
     const char* label = probe_.enabled() ? obs::message_label(msg) : nullptr;
     if (crashed_.at(index(to))) {
-      if (trace_slot != kNoSlot) trace_.at(trace_slot).drop = faults::DropReason::kCrashed;
       if (label) {
         if (probe_.metrics) counters_for(label).dropped->add();
+        // Like every drop, recorded on the sender with the recipient as
+        // peer, so the event reads "p<from> message_drop <type> to p<to>".
         probe_.trace([&] {
-          return obs::TraceEvent{obs::EventKind::kMessageDrop, simulator_.now(), to, from, -1,
+          return obs::TraceEvent{obs::EventKind::kMessageDrop, simulator_.now(), from, to, -1,
                                  {}, label, static_cast<std::int64_t>(seq)};
         });
       }
@@ -279,7 +249,6 @@ class Network {
                                {}, label, static_cast<std::int64_t>(seq)};
       });
     }
-    if (trace_slot != kNoSlot) trace_.at(trace_slot).deliver_time = simulator_.now();
     if (tagged && tap_) {
       tap_(from, to, msg, tag);
       return;
@@ -316,8 +285,6 @@ class Network {
   DeliveryTap tap_;
   std::unordered_map<const char*, TypeCounters> type_counters_;
   std::uint64_t obs_seq_ = 0;  ///< per-message id linking send/deliver events
-  bool tracing_ = false;
-  std::vector<TraceEntry<Msg>> trace_;
   std::size_t sent_ = 0;
   std::size_t delivered_ = 0;
 };

@@ -49,8 +49,6 @@ struct ClusterOptions {
   /// recorders survive kill/restart — a replica's span history spans its
   /// incarnations.
   bool trace = false;
-  /// Forwarded to RuntimeOptions::stats_interval_ms on every replica.
-  int stats_interval_ms = 0;
   /// Forwarded to RuntimeOptions::failover on every replica (heartbeat
   /// failure detection + leader election).
   FailoverOptions failover;
@@ -291,7 +289,6 @@ class LocalCluster {
       rt_options.storage.dir = options_.storage.dir + "/r" + std::to_string(p);
     rt_options.chaos = options_.chaos;
     if (options_.trace) rt_options.flight = recorders_[static_cast<std::size_t>(p)].get();
-    rt_options.stats_interval_ms = options_.stats_interval_ms;
     rt_options.failover = options_.failover;
     rt_options.anti_entropy_period_us = options_.anti_entropy_period_us;
     Factory& factory = factory_;

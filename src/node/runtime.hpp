@@ -11,11 +11,11 @@
 //   - the protocol, the links and all connections are touched ONLY on the
 //     loop thread; external entry points (propose) hop through post(),
 //   - cross-thread reads go through a mutex-guarded snapshot (decisions,
-//     applied log, latest_stats, the link table) or relaxed atomics
+//     applied log, the link table) or relaxed atomics
 //     (TransportStats, PeerLink::connected),
 //   - the per-runtime MetricsRegistry is written on the loop thread; its
 //     counters and log-histograms are internally thread-safe, so live
-//     scrapes (kStatsRequest, the periodic snapshotter) read them without
+//     scrapes (kStatsRequest) read them without
 //     waiting for stop().
 //
 // Start discipline: the protocol's start() is deferred to the first
@@ -102,13 +102,6 @@ struct StorageOptions {
   /// support only; rejected at construction otherwise).  0: log-only, the
   /// pre-snapshot behavior.
   std::uint64_t snapshot_every = 0;
-  /// Snapshot state-transfer re-request backoff: the first retry fires
-  /// within transfer_retry_min_us, then the delay doubles (jittered, see
-  /// util::Backoff) up to transfer_retry_max_us.  Chunks lost to chaos or
-  /// a reconnect are recovered by these re-requests, so the floor bounds
-  /// how fast a laggard heals and the cap bounds retry traffic.
-  std::int64_t transfer_retry_min_us = 300'000;
-  std::int64_t transfer_retry_max_us = 2'000'000;
 
   [[nodiscard]] bool enabled() const noexcept { return !dir.empty(); }
 };
@@ -142,10 +135,6 @@ struct RuntimeOptions {
   /// traced client requests are served, their context just isn't recorded
   /// or forwarded).  Must outlive the runtime; internally synchronised.
   obs::FlightRecorder* flight = nullptr;
-  /// > 0: the loop thread re-snapshots the node's stats JSON on this
-  /// period so latest_stats() always has a recent view.  The kStatsRequest
-  /// wire scrape works regardless.
-  int stats_interval_ms = 0;
   /// Heartbeat failure detector + leader election (protocols exposing
   /// set_leader_of; silently inert otherwise).
   FailoverOptions failover;
@@ -278,8 +267,7 @@ class Runtime {
       if (peers_[static_cast<std::size_t>(p)].port == 0) continue;  // endpoint unknown
       dial_peer(p);
     }
-    arm_stats_timer();  // pre-thread timer scheduling is safe: loop not running yet
-    arm_failover_timer();
+    arm_failover_timer();  // pre-thread timer scheduling is safe: loop not running yet
     arm_catchup_timer();
     thread_ = std::thread([this] { loop_.run(); });
   }
@@ -401,13 +389,6 @@ class Runtime {
 
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const transport::TransportStats& stats() const noexcept { return stats_; }
-
-  /// Last periodic stats document (see RuntimeOptions::stats_interval_ms);
-  /// empty before the first snapshot timer fires.  Thread-safe.
-  [[nodiscard]] std::string latest_stats() const {
-    const std::lock_guard<std::mutex> lock(stats_json_mu_);
-    return latest_stats_json_;
-  }
 
   /// The hosted protocol.  Only safe before start() or after stop().
   [[nodiscard]] P& unsafe_process() noexcept { return *proc_; }
@@ -1322,9 +1303,12 @@ class Runtime {
   /// of frames.
   static constexpr std::size_t kSnapshotChunkBytes = 256 * 1024;
   // A laggard re-requests from its received prefix until the transfer
-  // completes (chunks can be lost to chaos or reconnects); the retry
-  // cadence is the jittered exponential backoff configured by
-  // StorageOptions::transfer_retry_{min,max}_us.
+  // completes.  Chunks lost to chaos or a reconnect are recovered by these
+  // re-requests: the first fires within kTransferRetryMinUs, then the delay
+  // doubles (jittered, see util::Backoff) up to kTransferRetryMaxUs.  The
+  // floor bounds how fast a laggard heals and the cap bounds retry traffic.
+  static constexpr std::int64_t kTransferRetryMinUs = 300'000;
+  static constexpr std::int64_t kTransferRetryMaxUs = 2'000'000;
 
   /// Checkpoint trigger, checked after every durability barrier (both the
   /// per-entry sync and the group-commit barrier), which is the only time
@@ -1431,8 +1415,7 @@ class Runtime {
       transfer_->floor = offer.floor;
       transfer_->total_bytes = offer.bytes;
       transfer_->from = from;
-      transfer_->backoff.emplace(options_.storage.transfer_retry_min_us,
-                                 options_.storage.transfer_retry_max_us,
+      transfer_->backoff.emplace(kTransferRetryMinUs, kTransferRetryMaxUs,
                                  util::splitmix64(static_cast<std::uint64_t>(offer.floor),
                                                   static_cast<std::uint64_t>(self_)));
       metrics_.counter("transfer.requests").add();
@@ -1538,7 +1521,7 @@ class Runtime {
     if constexpr (storage::kHasSnapshot<P>) {
       if (!transfer_) return;
       const std::int64_t delay =
-          transfer_->backoff ? transfer_->backoff->next() : options_.storage.transfer_retry_min_us;
+          transfer_->backoff ? transfer_->backoff->next() : kTransferRetryMinUs;
       transfer_->retry_timer = loop_.schedule_after(delay, [this] {
         if (!transfer_) return;
         transfer_->retry_timer = 0;
@@ -1592,19 +1575,6 @@ class Runtime {
     metrics_.write_json(os);
     os << "}";
     return os.str();
-  }
-
-  /// Self-rearming periodic snapshot (loop thread -> latest_stats()).
-  void arm_stats_timer() {
-    if (options_.stats_interval_ms <= 0) return;
-    loop_.schedule_after(std::int64_t{options_.stats_interval_ms} * 1000, [this] {
-      std::string snapshot = build_stats_json();
-      {
-        const std::lock_guard<std::mutex> lock(stats_json_mu_);
-        latest_stats_json_ = std::move(snapshot);
-      }
-      arm_stats_timer();
-    });
   }
 
   void export_transport_metrics() {
@@ -1698,9 +1668,6 @@ class Runtime {
   std::vector<std::pair<std::int32_t, std::int64_t>> applied_;
   std::vector<consensus::ProcessId> members_;  ///< applied config members (state_mu_)
   std::int32_t config_version_ = 0;            ///< applied config version (state_mu_)
-
-  mutable std::mutex stats_json_mu_;
-  std::string latest_stats_json_;  ///< written by the snapshot timer
 
   std::thread thread_;
 };

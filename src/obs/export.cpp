@@ -1,179 +1,16 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 
 namespace twostep::obs {
 
 namespace {
 
-/// Labels are static strings under our control, but escape defensively so
-/// the emitted JSON is well-formed for any input.
-void write_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_value(std::ostream& os, consensus::Value v) {
-  if (v.is_bottom()) {
-    os << "null";
-  } else {
-    os << v.get();
-  }
-}
-
-/// Short display name for an event, e.g. `send 2A` or `decide fast`.
-std::string display_name(const TraceEvent& e) {
-  std::string name;
-  switch (e.kind) {
-    case EventKind::kMessageSend: name = "send "; break;
-    case EventKind::kMessageDeliver: name = "recv "; break;
-    case EventKind::kMessageDrop: name = "drop "; break;
-    case EventKind::kMessageDuplicate: name = "dup "; break;
-    case EventKind::kRetransmit: name = "retx "; break;
-    case EventKind::kCrash: return "crash";
-    case EventKind::kRestart: return "restart";
-    case EventKind::kTimerFire: return "timer";
-    case EventKind::kBallotStart: return "ballot " + std::to_string(e.ballot);
-    case EventKind::kPhaseTransition: name = ""; break;
-    case EventKind::kSelectionVerdict: name = "select "; break;
-    case EventKind::kProposal: return "propose " + e.value.to_string();
-    case EventKind::kDecision: name = "decide "; break;
-  }
-  return name + e.label;
-}
-
-const char* category(EventKind kind) {
-  switch (kind) {
-    case EventKind::kMessageSend:
-    case EventKind::kMessageDeliver:
-    case EventKind::kMessageDrop:
-    case EventKind::kMessageDuplicate:
-    case EventKind::kRetransmit: return "net";
-    case EventKind::kCrash:
-    case EventKind::kRestart: return "fault";
-    case EventKind::kTimerFire: return "timer";
-    case EventKind::kBallotStart:
-    case EventKind::kPhaseTransition:
-    case EventKind::kSelectionVerdict:
-    case EventKind::kProposal:
-    case EventKind::kDecision: return "consensus";
-  }
-  return "other";
-}
-
-}  // namespace
-
-void write_jsonl(const RunTracer& tracer, std::ostream& os) {
-  for (const TraceEvent& e : tracer.events()) {
-    os << "{\"at\": " << e.at << ", \"kind\": \"" << kind_name(e.kind)
-       << "\", \"process\": " << e.process << ", \"peer\": ";
-    if (e.peer == consensus::kNoProcess) {
-      os << "null";
-    } else {
-      os << e.peer;
-    }
-    os << ", \"ballot\": ";
-    if (e.ballot < 0) {
-      os << "null";
-    } else {
-      os << e.ballot;
-    }
-    os << ", \"value\": ";
-    write_value(os, e.value);
-    os << ", \"label\": ";
-    write_escaped(os, e.label);
-    os << ", \"detail\": " << e.detail << "}\n";
-  }
-}
-
-void write_chrome_trace(const RunTracer& tracer, std::ostream& os) {
-  const std::vector<TraceEvent> events = tracer.events();
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  const auto emit = [&](const std::string& body) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << body;
-  };
-
-  // One track per process id seen anywhere in the trace.
-  std::set<consensus::ProcessId> processes;
-  sim::Tick end = 0;
-  for (const TraceEvent& e : events) {
-    if (e.process != consensus::kNoProcess) processes.insert(e.process);
-    if (e.peer != consensus::kNoProcess) processes.insert(e.peer);
-    end = std::max(end, e.at);
-  }
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-       "\"args\": {\"name\": \"twostep run\"}}");
-  for (const consensus::ProcessId p : processes) {
-    std::ostringstream meta;
-    meta << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": " << p
-         << ", \"args\": {\"name\": \"p" << p << "\"}}";
-    emit(meta.str());
-  }
-
-  // Ballots as spans: a ballot-start opens a duration slice on the leader's
-  // track; the leader's next ballot (or the trace end) closes it.
-  std::map<consensus::ProcessId, bool> open_span;
-  const auto close_span = [&](consensus::ProcessId p, sim::Tick at) {
-    if (!open_span[p]) return;
-    open_span[p] = false;
-    std::ostringstream ev;
-    ev << "{\"ph\": \"E\", \"ts\": " << at << ", \"pid\": 0, \"tid\": " << p << "}";
-    emit(ev.str());
-  };
-
-  for (const TraceEvent& e : events) {
-    if (e.process == consensus::kNoProcess) continue;
-    std::ostringstream ev;
-    if (e.kind == EventKind::kBallotStart) {
-      close_span(e.process, e.at);
-      open_span[e.process] = true;
-      ev << "{\"name\": ";
-      write_escaped(ev, ("ballot " + std::to_string(e.ballot)).c_str());
-      ev << ", \"cat\": \"consensus\", \"ph\": \"B\", \"ts\": " << e.at
-         << ", \"pid\": 0, \"tid\": " << e.process << "}";
-      emit(ev.str());
-      continue;
-    }
-    ev << "{\"name\": ";
-    write_escaped(ev, display_name(e).c_str());
-    ev << ", \"cat\": \"" << category(e.kind) << "\", \"ph\": \"i\", \"ts\": " << e.at
-       << ", \"pid\": 0, \"tid\": " << e.process << ", \"s\": \"t\", \"args\": {\"kind\": \""
-       << kind_name(e.kind) << "\", \"peer\": " << e.peer << ", \"ballot\": " << e.ballot
-       << ", \"value\": ";
-    write_value(ev, e.value);
-    ev << ", \"detail\": " << e.detail << "}}";
-    emit(ev.str());
-  }
-  for (const auto& [p, open] : open_span) {
-    if (open) close_span(p, end);
-  }
-  os << "\n]}\n";
-}
-
-std::string format_event(const TraceEvent& e) {
+/// "decision fast v=102 (b=0)": the event without its time and process.
+std::string describe(const TraceEvent& e) {
   std::ostringstream os;
-  os << "[t=" << e.at << "] ";
-  if (e.process != consensus::kNoProcess) os << "p" << e.process << " ";
   os << kind_name(e.kind);
   if (e.label[0] != '\0') os << " " << e.label;
   if (e.peer != consensus::kNoProcess) {
@@ -181,6 +18,53 @@ std::string format_event(const TraceEvent& e) {
   }
   if (!e.value.is_bottom()) os << " v=" << e.value.to_string();
   if (e.ballot >= 0) os << " (b=" << e.ballot << ")";
+  return os.str();
+}
+
+}  // namespace
+
+std::vector<MergedSpan> sim_spans(const std::vector<TraceEvent>& events) {
+  sim::Tick end = 0;
+  for (const TraceEvent& e : events) end = std::max(end, e.at);
+  std::vector<MergedSpan> spans;
+  spans.reserve(events.size());
+  std::unordered_map<std::int64_t, std::uint64_t> send_of;              // message seq -> span id
+  std::unordered_map<consensus::ProcessId, std::size_t> open_ballot;  // leader -> spans index
+  for (const TraceEvent& e : events) {
+    MergedSpan s;
+    s.process = "p" + std::to_string(e.process);
+    s.trace_id = 1;
+    s.span_id = spans.size() + 1;
+    s.name = describe(e);
+    s.start_us = e.at;
+    s.detail = e.detail;
+    switch (e.kind) {
+      case EventKind::kMessageSend: send_of[e.detail] = s.span_id; break;
+      case EventKind::kMessageDeliver:
+      case EventKind::kMessageDrop:
+      case EventKind::kMessageDuplicate:
+        if (const auto it = send_of.find(e.detail); it != send_of.end()) s.parent_span = it->second;
+        break;
+      case EventKind::kBallotStart:
+        s.dur_us = end - e.at;
+        if (const auto it = open_ballot.find(e.process); it != open_ballot.end()) {
+          MergedSpan& previous = spans[it->second];
+          previous.dur_us = e.at - previous.start_us;
+        }
+        open_ballot[e.process] = spans.size();
+        break;
+      default: break;
+    }
+    spans.push_back(std::move(s));
+  }
+  return spans;
+}
+
+std::string format_event(const TraceEvent& e) {
+  std::ostringstream os;
+  os << "[t=" << e.at << "] ";
+  if (e.process != consensus::kNoProcess) os << "p" << e.process << " ";
+  os << describe(e);
   return os.str();
 }
 

@@ -1,31 +1,32 @@
-// Exporters over a RunTracer's retained events.
+// The simulated run's side of the one trace pipeline.
 //
-// Two machine formats plus a human one:
-//   * JSONL — one JSON object per event, one event per line; the format for
-//     ad-hoc jq/pandas post-processing of runs.
-//   * Chrome trace-event JSON — loadable in Perfetto (ui.perfetto.dev) and
-//     chrome://tracing: each process is a track (tid), ballots render as
-//     spans (a ballot-start opens a span on its leader's track, closed by
-//     the leader's next ballot or the end of the trace), everything else as
-//     instant events.  Timestamps are the simulator's virtual ticks.
-//   * format_event — the single-line rendering used by `twostep_cli run
-//     --trace`.
+// A simulated run is read the same way as a live one: sim_spans turns a
+// RunTracer's retained events into obs::MergedSpans, and the live
+// exporter, write_chrome_spans (obs/flight.hpp), writes them as Chrome
+// trace-event JSON for Perfetto (ui.perfetto.dev) or chrome://tracing.
+// format_event is the single-line rendering used by `twostep_cli run
+// --trace`.
 #pragma once
 
-#include <ostream>
 #include <string>
+#include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace twostep::obs {
 
-/// One JSON object per line:
-///   {"at":200,"kind":"decision","process":2,"peer":null,"ballot":0,
-///    "value":102,"label":"fast","detail":0}
-void write_jsonl(const RunTracer& tracer, std::ostream& os);
-
-/// Chrome trace-event format (JSON Object Format, i.e. {"traceEvents":[..]}).
-void write_chrome_trace(const RunTracer& tracer, std::ostream& os);
+/// One span per event, in the events' order, timed in virtual ticks:
+///   * each simulated process is its own process track ("p<id>");
+///   * a ballot start is a slice on its leader's track that lasts until the
+///     leader's next ballot or the last event;
+///   * every other event is a zero-length slice;
+///   * a delivery, drop or duplicate is parented on its message's send
+///     (matched by the message seq both events carry), so each message hop
+///     renders as a flow arrow.
+/// Slice names are format_event's text without its time and process
+/// prefix; span ids are 1, 2, ... in event order.
+[[nodiscard]] std::vector<MergedSpan> sim_spans(const std::vector<TraceEvent>& events);
 
 /// "[t=200] p2 decision fast v=102 (b=0)" — for terminal dumps.
 [[nodiscard]] std::string format_event(const TraceEvent& event);

@@ -14,9 +14,8 @@
 namespace twostep::obs {
 
 FlightRecorder::FlightRecorder(std::string process, std::uint64_t salt, std::size_t capacity)
-    : process_(std::move(process)), salt_(salt & 0x7FFFFF), capacity_(capacity) {
-  if (capacity_ == 0) capacity_ = 1;
-  ring_.resize(capacity_);
+    : process_(std::move(process)), salt_(salt & 0x7FFFFF), ring_(capacity == 0 ? 1 : capacity) {
+  ring_.reserve();  // record() runs on the loop thread: never allocate there
 }
 
 std::int64_t FlightRecorder::now_us() noexcept {
@@ -27,36 +26,27 @@ std::int64_t FlightRecorder::now_us() noexcept {
 
 void FlightRecorder::record(const SpanRecord& span) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_] = span;
-  next_ = (next_ + 1) % capacity_;
-  if (size_ < capacity_) ++size_;
-  ++recorded_;
+  ring_.push(span);
 }
 
 std::vector<SpanRecord> FlightRecorder::spans() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(size_);
-  const std::size_t first = size_ < capacity_ ? 0 : next_;
-  for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[(first + i) % capacity_]);
-  return out;
+  return ring_.items();
 }
 
 std::size_t FlightRecorder::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return size_;
+  return ring_.size();
 }
 
 std::uint64_t FlightRecorder::dropped() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return recorded_ - size_;
+  return ring_.pushed() - ring_.size();
 }
 
 void FlightRecorder::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  next_ = 0;
-  size_ = 0;
-  recorded_ = 0;
+  ring_.clear();
 }
 
 void write_spans_jsonl(const FlightRecorder& recorder, std::ostream& os) {

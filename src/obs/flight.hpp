@@ -18,9 +18,9 @@
 // clock alignment; out of scope here, as for the bench topology).
 //
 // Same design constraints as the RunTracer: recording is a struct copy
-// into a bounded ring (oldest evicted), span names are static strings, and
-// a null recorder pointer means tracing is off and every site reduces to
-// one pointer test.
+// into the same bounded obs::Ring (oldest evicted), span names are static
+// strings, and a null recorder pointer means tracing is off and every site
+// reduces to one pointer test.
 #pragma once
 
 #include <atomic>
@@ -30,6 +30,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "obs/ring.hpp"
 
 namespace twostep::obs {
 
@@ -97,11 +99,7 @@ class FlightRecorder {
   std::atomic<std::uint64_t> next_id_{1};
 
   mutable std::mutex mu_;
-  std::vector<SpanRecord> ring_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t recorded_ = 0;
+  Ring<SpanRecord> ring_;
 };
 
 /// One span as parsed back from JSONL: the process label travels with it

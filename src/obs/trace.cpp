@@ -23,40 +23,8 @@ const char* kind_name(EventKind kind) noexcept {
   return "?";
 }
 
-RunTracer::RunTracer(std::size_t capacity) : capacity_(capacity) {
-  if (capacity_ == 0) throw std::invalid_argument("RunTracer: capacity must be > 0");
-  // The ring grows on demand up to capacity_ so short runs stay small.
-}
-
-void RunTracer::record(const TraceEvent& event) {
-  if (sink_) sink_->on_event(event);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    ring_[next_] = event;
-  }
-  next_ = (next_ + 1) % capacity_;
-  if (size_ < capacity_) ++size_;
-  ++recorded_;
-}
-
-std::vector<TraceEvent> RunTracer::events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  if (size_ < capacity_) {
-    // Ring never wrapped: slots [0, size_) are already chronological.
-    out.assign(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(size_));
-    return out;
-  }
-  for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[(next_ + i) % capacity_]);
-  return out;
-}
-
-void RunTracer::clear() noexcept {
-  ring_.clear();
-  next_ = 0;
-  size_ = 0;
-  recorded_ = 0;
+RunTracer::RunTracer(std::size_t capacity) : ring_(capacity) {
+  if (capacity == 0) throw std::invalid_argument("RunTracer: capacity must be > 0");
 }
 
 }  // namespace twostep::obs

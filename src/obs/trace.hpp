@@ -14,12 +14,12 @@
 //      helper takes a lambda that *builds* the event and only invokes it
 //      when a tracer is installed (same idiom as TWOSTEP_LOG's lazy
 //      streaming).  Labels are static strings — recording never formats.
-//   2. Bounded memory.  Events land in a ring buffer (oldest evicted) so
+//   2. Bounded memory.  Events land in an obs::Ring (oldest evicted) so
 //      a tracer can stay attached to a long fuzzing or benchmark run.
 //   3. Pluggable sinks.  A TraceSink observes every event as it is
 //      recorded, before eviction can touch it — for streaming exporters or
-//      test assertions.  Exporters over the retained buffer live in
-//      obs/export.hpp.
+//      test assertions.  obs/export.hpp turns the retained events into
+//      spans for the Chrome exporter that live traces use.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "consensus/types.hpp"
+#include "obs/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace twostep::obs {
@@ -89,26 +90,25 @@ class RunTracer {
   /// Installs (or, with nullptr, removes) the streaming sink.
   void set_sink(TraceSink* sink) noexcept { sink_ = sink; }
 
-  void record(const TraceEvent& event);
+  void record(const TraceEvent& event) {
+    if (sink_) sink_->on_event(event);
+    ring_.push(event);
+  }
 
   /// Retained events in chronological (recording) order.  Copies; intended
   /// for post-run export and test assertions, not hot paths.
-  [[nodiscard]] std::vector<TraceEvent> events() const;
+  [[nodiscard]] std::vector<TraceEvent> events() const { return ring_.items(); }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.capacity(); }
   /// Total events ever recorded, including those evicted from the ring.
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  [[nodiscard]] std::uint64_t evicted() const noexcept { return recorded_ - size_; }
+  [[nodiscard]] std::uint64_t recorded() const noexcept { return ring_.pushed(); }
+  [[nodiscard]] std::uint64_t evicted() const noexcept { return recorded() - size(); }
 
-  void clear() noexcept;
+  void clear() noexcept { ring_.clear(); }
 
  private:
-  std::vector<TraceEvent> ring_;
-  std::size_t capacity_;
-  std::size_t next_ = 0;  ///< ring slot the next event lands in
-  std::size_t size_ = 0;
-  std::uint64_t recorded_ = 0;
+  Ring<TraceEvent> ring_;
   TraceSink* sink_ = nullptr;
 };
 

@@ -17,6 +17,7 @@
 #include "modelcheck/explorer.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -130,52 +131,68 @@ TEST(FaultPlan, TypedDelayRuleIgnoresControlSignals) {
 }
 
 TEST(FaultPlan, DropReasonNamesAreStable) {
-  EXPECT_STREQ(faults::drop_reason_name(DropReason::kNone), "none");
-  EXPECT_STREQ(faults::drop_reason_name(DropReason::kCrashed), "crashed");
-  EXPECT_STREQ(faults::drop_reason_name(DropReason::kInjected), "injected");
-  EXPECT_STREQ(faults::drop_reason_name(DropReason::kPartition), "partition");
+  EXPECT_STREQ(faults::drop_event_label(DropReason::kNone), "drop.none");
+  EXPECT_STREQ(faults::drop_event_label(DropReason::kInjected), "drop.injected");
+  EXPECT_STREQ(faults::drop_event_label(DropReason::kPartition), "drop.partition");
 }
 
 // ---- the network's fault stage ----
 
 using Net = net::Network<std::string>;
 
-net::NetworkConfig chaos_config(std::shared_ptr<FaultPlan> plan, bool trace = true) {
+net::NetworkConfig chaos_config(std::shared_ptr<FaultPlan> plan, obs::RunTracer* tracer) {
   net::NetworkConfig config;
   config.faults = std::move(plan);
-  config.trace = trace;
+  config.probe.tracer = tracer;
   return config;
+}
+
+/// The tracer's message drops and deliveries, in order.
+std::vector<obs::TraceEvent> message_fates(const obs::RunTracer& tracer) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : tracer.events())
+    if (e.kind == obs::EventKind::kMessageDrop || e.kind == obs::EventKind::kMessageDeliver)
+      out.push_back(e);
+  return out;
 }
 
 TEST(NetworkFaults, InjectedDropIsTracedWithReason) {
   sim::Simulator sim;
   auto plan = std::make_shared<FaultPlan>();
   plan->drop_if([](sim::Tick, ProcessId, ProcessId) { return true; });
-  Net net{sim, std::make_unique<net::FixedDelay>(10), 2, 1, chaos_config(plan)};
+  obs::RunTracer tracer;
+  Net net{sim, std::make_unique<net::FixedDelay>(10), 2, 1, chaos_config(plan, &tracer)};
   int got = 0;
   net.set_handler(1, [&](ProcessId, const std::string&) { ++got; });
   net.send(0, 1, "doomed");
   sim.run();
   EXPECT_EQ(got, 0);
   EXPECT_EQ(net.messages_delivered(), 0u);
-  ASSERT_EQ(net.trace().size(), 1u);
-  EXPECT_EQ(net.trace().front().drop, DropReason::kInjected);
-  EXPECT_EQ(net.trace().front().deliver_time, -1);
+  const auto fates = message_fates(tracer);
+  ASSERT_EQ(fates.size(), 1u);  // dropped, never delivered
+  EXPECT_EQ(fates[0].kind, obs::EventKind::kMessageDrop);
+  EXPECT_STREQ(fates[0].label, faults::drop_event_label(DropReason::kInjected));
+  EXPECT_EQ(fates[0].at, 0);
 }
 
 TEST(NetworkFaults, PartitionDropUsesPartitionReason) {
   sim::Simulator sim;
   auto plan = std::make_shared<FaultPlan>();
   plan->partition_link(0, 1, 0, -1);
-  Net net{sim, std::make_unique<net::FixedDelay>(10), 3, 1, chaos_config(plan)};
+  obs::RunTracer tracer;
+  Net net{sim, std::make_unique<net::FixedDelay>(10), 3, 1, chaos_config(plan, &tracer)};
   net.set_handler(1, [](ProcessId, const std::string&) {});
   net.set_handler(2, [](ProcessId, const std::string&) {});
   net.send(0, 1, "cut");
   net.send(0, 2, "fine");
   sim.run();
-  ASSERT_EQ(net.trace().size(), 2u);
-  EXPECT_EQ(net.trace()[0].drop, DropReason::kPartition);
-  EXPECT_EQ(net.trace()[1].drop, DropReason::kNone);
+  const auto fates = message_fates(tracer);
+  ASSERT_EQ(fates.size(), 2u);
+  EXPECT_EQ(fates[0].kind, obs::EventKind::kMessageDrop);
+  EXPECT_STREQ(fates[0].label, faults::drop_event_label(DropReason::kPartition));
+  EXPECT_EQ(fates[0].peer, 1);
+  EXPECT_EQ(fates[1].kind, obs::EventKind::kMessageDeliver);
+  EXPECT_EQ(fates[1].process, 2);
   EXPECT_EQ(net.messages_delivered(), 1u);
 }
 
@@ -183,7 +200,7 @@ TEST(NetworkFaults, DuplicationDeliversEveryCopy) {
   sim::Simulator sim;
   auto plan = std::make_shared<FaultPlan>();
   plan->duplicate_if([](sim::Tick, ProcessId, ProcessId) { return true; }, 2);
-  Net net{sim, std::make_unique<net::FixedDelay>(10), 2, 1, chaos_config(plan)};
+  Net net{sim, std::make_unique<net::FixedDelay>(10), 2, 1, chaos_config(plan, nullptr)};
   int got = 0;
   net.set_handler(1, [&](ProcessId, const std::string&) { ++got; });
   net.send(0, 1, "echo");
@@ -199,7 +216,7 @@ TEST(NetworkFaults, ProbeCountsInjectedFaults) {
   auto plan = std::make_shared<FaultPlan>();
   plan->drop_if([](sim::Tick, ProcessId from, ProcessId) { return from == 0; });
   plan->duplicate_if([](sim::Tick, ProcessId from, ProcessId) { return from == 1; });
-  net::NetworkConfig config = chaos_config(plan, /*trace=*/false);
+  net::NetworkConfig config = chaos_config(plan, nullptr);
   config.probe = obs::Probe{nullptr, &metrics};
   Net net{sim, std::make_unique<net::FixedDelay>(10), 2, 1, config};
   net.set_handler(0, [](ProcessId, const std::string&) {});
@@ -230,15 +247,13 @@ TEST(NetworkFaults, RestartAcceptsTrafficAgain) {
 
 // ---- chaos determinism: byte-identical runs for a fixed seed ----
 
-std::string trace_fingerprint(const std::vector<net::TraceEntry<core::Message>>& trace) {
-  std::ostringstream os;
-  for (const auto& e : trace)
-    os << e.send_time << '/' << e.deliver_time << '/' << e.from << '/' << e.to << '/'
-       << static_cast<int>(e.drop) << '/' << core::to_string(e.payload) << '\n';
-  return os.str();
-}
+/// The chaos runs below record about 400 events (434 for seed 42), so this
+/// leaves ample headroom: the fingerprint covers the whole run only if the
+/// tracer evicts nothing.
+constexpr std::size_t kChaosTraceCapacity = 4096;
 
 std::string chaos_run_fingerprint(std::uint64_t seed) {
+  obs::RunTracer tracer(kChaosTraceCapacity);
   const SystemConfig cfg{5, 2, 2};
   auto plan = std::make_shared<FaultPlan>(seed);
   plan->drop(0.2).duplicate(0.1).reorder(0.15, 120).partition_cut({0, 1}, 150, 500);
@@ -247,13 +262,17 @@ std::string chaos_run_fingerprint(std::uint64_t seed) {
                .seed(seed)
                .fault_plan(plan)
                .reliable()
-               .trace()
+               .probe({&tracer, nullptr})
                .core(core::Mode::kObject);
   r->cluster().start_all();
   for (ProcessId p = 0; p < cfg.n; ++p) r->cluster().propose(p, Value{100 + p});
   r->cluster().run();
   EXPECT_TRUE(r->monitor().safe());
-  return trace_fingerprint(r->cluster().network().trace());
+  EXPECT_EQ(tracer.evicted(), 0u);
+  std::ostringstream os;
+  for (const obs::TraceEvent& e : tracer.events())
+    os << obs::format_event(e) << " #" << e.detail << '\n';
+  return os.str();
 }
 
 TEST(ChaosDeterminism, SameSeedByteIdenticalNetworkTrace) {

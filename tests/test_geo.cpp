@@ -38,24 +38,33 @@ TEST(LatencyMatrix, AccessorsAndBounds) {
   EXPECT_THROW((void)m.one_way_us(-1, 0), std::out_of_range);
 }
 
-TEST(LatencyMatrix, NineRegionsMatchesTheSimTable) {
+// The one nine-region table, as live runs and the simulator read it: 0 µs
+// same-region cells and 2 ms of jitter live; one tick per ms, the diagonal
+// floored at one tick, and 0-2 ticks of jitter in the simulator.
+TEST(LatencyMatrix, NineRegionsPinsTheSimulatorTicks) {
   const LatencyMatrix live = LatencyMatrix::nine_regions();
-  const net::WanMatrix sim = net::WanMatrix::nine_regions(2);
-  ASSERT_EQ(live.size(), sim.one_way().size());
-  for (std::size_t i = 0; i < live.size(); ++i)
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      if (i == j) {
-        // The sim table prices intra-region hops at 1 ms (its tick floor);
-        // live loopback is the baseline, so the diagonal is zero.
-        EXPECT_EQ(live.one_way_us(static_cast<int>(i), static_cast<int>(j)), 0);
-      } else {
-        EXPECT_EQ(live.one_way_us(static_cast<int>(i), static_cast<int>(j)),
-                  sim.one_way()[i][j] * 1000);
-      }
-    }
-  EXPECT_EQ(live.jitter_us(), sim.jitter() * 1000);
+  ASSERT_EQ(live.size(), 9u);
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(live.one_way_us(i, i), 0);
+  EXPECT_EQ(live.one_way_us(0, 2), 38'000);  // us-east -> eu-west
+  EXPECT_EQ(live.jitter_us(), 2'000);
   EXPECT_EQ(live.region_index("us-east"), 0);
   EXPECT_EQ(live.region_index("au-southeast"), 8);
+
+  const net::WanMatrix sim{live, round_robin_placement(9, live)};
+  EXPECT_EQ(sim.sites(), 9);
+  EXPECT_EQ(sim.delta(), 162);  // sa-east <-> ap-southeast, 160 ms, plus 2
+  util::Rng rng{3};
+  bool saw[3] = {false, false, false};
+  for (int i = 0; i < 200; ++i) {
+    const sim::Tick use_euw = sim.delivery_time(1000, 0, 2, rng) - 1000;
+    ASSERT_GE(use_euw, 38);
+    ASSERT_LE(use_euw, 40);
+    saw[use_euw - 38] = true;
+    const sim::Tick local = sim.delivery_time(0, 4, 4, rng);  // ap-northeast to itself
+    ASSERT_GE(local, 1);
+    ASSERT_LE(local, 3);
+  }
+  EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
 }
 
 TEST(LatencyMatrix, ScaleCompressesEveryCell) {

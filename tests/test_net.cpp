@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "faults/fault_plan.hpp"
+#include "geo/latency_matrix.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace twostep::net {
@@ -63,39 +66,62 @@ TEST(PartialSynchrony, FastAfterGst) {
   }
 }
 
+/// The nine-region table without jitter (jitter_us 0).
+geo::LatencyMatrix nine_regions_no_jitter() {
+  const geo::LatencyMatrix nine = geo::LatencyMatrix::nine_regions();
+  std::vector<std::vector<std::int64_t>> cells(nine.size(), std::vector<std::int64_t>(nine.size()));
+  for (int i = 0; i < static_cast<int>(nine.size()); ++i)
+    for (int j = 0; j < static_cast<int>(nine.size()); ++j)
+      cells[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = nine.one_way_us(i, j);
+  return geo::LatencyMatrix(nine.regions(), std::move(cells));
+}
+
 TEST(WanMatrix, NineRegionsIsConsistent) {
-  const WanMatrix m = WanMatrix::nine_regions(0);
+  const geo::LatencyMatrix nine = nine_regions_no_jitter();
+  const WanMatrix m{nine, geo::round_robin_placement(9, nine)};
   EXPECT_EQ(m.sites(), 9);
   util::Rng rng{1};
   // us-east <-> us-west is ~35ms one way.
   EXPECT_EQ(m.delivery_time(0, 0, 1, rng), 35);
   // delta is the worst link.
-  EXPECT_GE(m.delta(), 160);
+  EXPECT_EQ(m.delta(), 160);
 }
 
 TEST(WanMatrix, JitterBounded) {
-  const WanMatrix m = WanMatrix::nine_regions(5);
+  const geo::LatencyMatrix two({"a", "b"}, {{0, 35'000}, {35'000, 0}}, 5'000);
+  const WanMatrix m{two, {0, 1}};
   util::Rng rng{7};
   for (int i = 0; i < 100; ++i) {
     const sim::Tick d = m.delivery_time(0, 0, 1, rng);
     EXPECT_GE(d, 35);
     EXPECT_LE(d, 40);
   }
+  EXPECT_EQ(m.delta(), 40);
 }
 
 TEST(WanMatrix, RestrictSelectsSubmatrix) {
-  const WanMatrix m = WanMatrix::nine_regions(0);
-  const WanMatrix sub = m.restrict({0, 2, 4});  // us-east, eu-west, tokyo
-  EXPECT_EQ(sub.sites(), 3);
+  // The placement picks the sites: us-east, eu-west, tokyo, and a second
+  // process in us-east (more processes than regions wrap around).
+  const WanMatrix sub{nine_regions_no_jitter(), {0, 2, 4, 0}};
+  EXPECT_EQ(sub.sites(), 4);
   util::Rng rng{1};
   EXPECT_EQ(sub.delivery_time(0, 0, 1, rng), 38);   // use -> euw
   EXPECT_EQ(sub.delivery_time(0, 1, 2, rng), 105);  // euw -> jpn
+  EXPECT_EQ(sub.delivery_time(0, 3, 0, rng), 1);    // same region: the one-tick floor
+  EXPECT_EQ(sub.delivery_time(0, 3, 2, rng), 75);   // use -> jpn
 }
 
 TEST(WanMatrix, RejectsBadMatrices) {
-  EXPECT_THROW(WanMatrix({}, 0), std::invalid_argument);
-  EXPECT_THROW(WanMatrix({{1, 2}}, 0), std::invalid_argument);        // not square
-  EXPECT_THROW(WanMatrix({{1, 0}, {1, 1}}, 0), std::invalid_argument);  // zero latency
+  // A malformed table never reaches the simulator: the matrix it is built
+  // from validates itself.  A placement outside the matrix and a site
+  // outside the placement throw.
+  EXPECT_THROW(geo::LatencyMatrix({"a", "b"}, {{0, 1}}), std::invalid_argument);
+  const geo::LatencyMatrix two({"a", "b"}, {{0, 1000}, {1000, 0}});
+  EXPECT_THROW(WanMatrix(two, {0, 2}), std::out_of_range);
+  const WanMatrix m{two, {0, 1}};
+  util::Rng rng{1};
+  EXPECT_THROW((void)m.delivery_time(0, 0, 2, rng), std::out_of_range);
+  EXPECT_THROW((void)m.delivery_time(0, -1, 0, rng), std::out_of_range);
 }
 
 // ---- Network ----
@@ -193,47 +219,64 @@ TEST(Network, CountsSentAndDelivered) {
   EXPECT_EQ(net.messages_delivered(), 1u);
 }
 
-NetworkConfig traced_config() {
+NetworkConfig traced_config(obs::RunTracer& tracer) {
   NetworkConfig config;
-  config.trace = true;
+  config.probe.tracer = &tracer;
   return config;
 }
 
 TEST(Network, TraceRecordsSendAndDelivery) {
   sim::Simulator sim;
-  Net net{sim, fixed(10), 2, 1, traced_config()};
+  obs::RunTracer tracer;
+  Net net{sim, fixed(10), 2, 1, traced_config(tracer)};
   net.set_handler(1, [](ProcessId, const std::string&) {});
   net.send(0, 1, "traced");
   sim.run();
-  ASSERT_EQ(net.trace().size(), 1u);
-  const auto& entry = net.trace().front();
-  EXPECT_EQ(entry.send_time, 0);
-  EXPECT_EQ(entry.deliver_time, 10);
-  EXPECT_EQ(entry.payload, "traced");
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kMessageSend);
+  EXPECT_EQ(events[0].at, 0);
+  EXPECT_EQ(events[0].process, 0);
+  EXPECT_EQ(events[0].peer, 1);
+  EXPECT_EQ(events[1].kind, obs::EventKind::kMessageDeliver);
+  EXPECT_EQ(events[1].at, 10);
+  EXPECT_EQ(events[1].process, 1);
+  EXPECT_EQ(events[1].peer, 0);
+  EXPECT_EQ(events[1].detail, events[0].detail);  // the same message
+  EXPECT_STREQ(events[1].label, "msg");
 }
 
 TEST(Network, TraceMarksUndeliveredWithDropReason) {
   sim::Simulator sim;
-  Net net{sim, fixed(10), 2, 1, traced_config()};
+  obs::RunTracer tracer;
+  Net net{sim, fixed(10), 2, 1, traced_config(tracer)};
   net.set_handler(1, [](ProcessId, const std::string&) {});
   net.send(0, 1, "lost");
   net.crash(1);
   sim.run();
-  ASSERT_EQ(net.trace().size(), 1u);
-  EXPECT_EQ(net.trace().front().deliver_time, -1);
-  // The recipient crashed: no longer conflated with "still in flight".
-  EXPECT_EQ(net.trace().front().drop, faults::DropReason::kCrashed);
+  // The recipient crashed: the message ends in a drop at its delivery time,
+  // not conflated with "still in flight".
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].kind, obs::EventKind::kMessageDrop);
+  EXPECT_EQ(events[1].at, 10);
+  EXPECT_EQ(events[1].process, 0);  // on the sender, like every drop
+  EXPECT_EQ(events[1].peer, 1);
+  EXPECT_EQ(events[1].detail, events[0].detail);
+  EXPECT_EQ(net.messages_delivered(), 0u);
 }
 
 TEST(Network, TraceMarksInFlightDistinctFromCrashed) {
   sim::Simulator sim;
-  Net net{sim, fixed(10), 2, 1, traced_config()};
+  obs::RunTracer tracer;
+  Net net{sim, fixed(10), 2, 1, traced_config(tracer)};
   net.set_handler(1, [](ProcessId, const std::string&) {});
   net.send(0, 1, "in-flight");
-  // Run no events: the message is sent but the run ends before delivery.
-  ASSERT_EQ(net.trace().size(), 1u);
-  EXPECT_EQ(net.trace().front().deliver_time, -1);
-  EXPECT_EQ(net.trace().front().drop, faults::DropReason::kNone);
+  // Run no events: the message is sent but the run ends before delivery,
+  // so it has a send and neither a delivery nor a drop.
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kMessageSend);
 }
 
 // A FaultPlan delay rule can pin an absolute delivery time per message,

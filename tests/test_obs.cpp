@@ -546,33 +546,45 @@ RunTracer make_sample_trace() {
   return tracer;
 }
 
-TEST(Export, JsonlEveryLineParses) {
-  const RunTracer tracer = make_sample_trace();
-  std::ostringstream os;
-  write_jsonl(tracer, os);
-  std::istringstream is(os.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(is, line)) {
-    ++lines;
-    EXPECT_TRUE(is_valid_json(line)) << line;
+TEST(Export, SimSpansKeepEveryEventAndLinkEachHop) {
+  const std::vector<MergedSpan> spans = sim_spans(make_sample_trace().events());
+  ASSERT_EQ(spans.size(), 7u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].span_id, i + 1);
+    EXPECT_EQ(spans[i].trace_id, 1u);
   }
-  EXPECT_EQ(lines, 7);
+  // One track per process; slice names carry format_event's text.
+  EXPECT_EQ(spans[0].process, "p0");
+  EXPECT_EQ(spans[0].name, "proposal v=100");
+  EXPECT_EQ(spans[1].name, "message_send Propose to p1");
+  EXPECT_EQ(spans[2].process, "p1");
+  EXPECT_EQ(spans[2].name, "message_deliver Propose from p0");
+  EXPECT_EQ(spans[4].name, "selection_verdict own_initial v=100 (b=4)");
+  EXPECT_EQ(spans[6].name, "decision slow v=100 (b=7)");
+  // The delivery is parented on its send (same message seq); nothing else
+  // has a parent.
+  EXPECT_EQ(spans[2].parent_span, spans[1].span_id);
+  for (const std::size_t i : {0, 1, 3, 4, 5, 6}) EXPECT_EQ(spans[i].parent_span, 0u) << i;
+  // Ballot 4 lasts until the leader's next ballot, ballot 7 to the end.
+  EXPECT_EQ(spans[3].start_us, 200);
+  EXPECT_EQ(spans[3].dur_us, 300);
+  EXPECT_EQ(spans[5].dur_us, 100);
+  EXPECT_EQ(spans[6].dur_us, 0);
 }
 
 TEST(Export, ChromeTraceIsOneValidJsonObject) {
-  const RunTracer tracer = make_sample_trace();
   std::ostringstream os;
-  write_chrome_trace(tracer, os);
+  write_chrome_spans(sim_spans(make_sample_trace().events()), os);
   const std::string json = os.str();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  // Ballot spans: ballot 4 opens with "B" and is closed (by ballot 7 or the
-  // trace end), so both phase kinds must appear.
-  EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
-  // Process metadata names the tracks.
+  // Process metadata names the tracks, every event is a complete slice,
+  // and the Propose hop from p0 to p1 is a flow arrow.
   EXPECT_NE(json.find("process_name"), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"p1\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
 }
 
 TEST(Export, FormatEventIsHumanReadable) {
@@ -642,15 +654,20 @@ TEST(ObsEndToEnd, FastPathRunEmitsExpectedEventsAndMetrics) {
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_LE(events[i - 1].at, events[i].at);
 
-  // The whole run exports to valid JSON in both formats.
+  // The whole run exports to valid JSON, and every delivery is parented on
+  // a recorded send.
+  const std::vector<MergedSpan> spans = sim_spans(events);
+  for (std::size_t i = 0; i < events.size(); ++i)
+    if (events[i].kind == EventKind::kMessageDeliver) {
+      ASSERT_NE(spans[i].parent_span, 0u);
+      const TraceEvent& send = events[spans[i].parent_span - 1];
+      EXPECT_EQ(send.kind, EventKind::kMessageSend);
+      EXPECT_EQ(send.process, events[i].peer);
+      EXPECT_EQ(send.detail, events[i].detail);
+    }
   std::ostringstream chrome;
-  write_chrome_trace(tracer, chrome);
+  write_chrome_spans(spans, chrome);
   EXPECT_TRUE(is_valid_json(chrome.str()));
-  std::ostringstream jsonl;
-  write_jsonl(tracer, jsonl);
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  while (std::getline(lines, line)) EXPECT_TRUE(is_valid_json(line)) << line;
 }
 
 TEST(ObsEndToEnd, SlowPathRunCountsBallotsAndSelectionBranches) {

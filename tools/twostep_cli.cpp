@@ -71,20 +71,24 @@ using consensus::ProcessId;
 using consensus::SystemConfig;
 using consensus::Value;
 
+/// Prints "--<flag>: expected <expected>, got '<got>'" and exits 1: the
+/// one error of every malformed flag value.
+[[noreturn]] void reject_value(std::string_view flag, std::string_view expected,
+                               std::string_view got) {
+  std::fprintf(stderr, "--%.*s: expected %.*s, got '%.*s'\n", static_cast<int>(flag.size()),
+               flag.data(), static_cast<int>(expected.size()), expected.data(),
+               static_cast<int>(got.size()), got.data());
+  std::exit(1);
+}
+
 /// Parses all of `v` as a decimal integer (or, for a floating-point T, a
-/// number); on anything else (empty, junk, out of range for T) prints
-/// "--<flag>: expected an integer, got '<v>'" and exits 1, like every
-/// other malformed flag.
+/// number); anything else (empty, junk, out of range for T) is rejected.
 template <class T>
 T parse_number(const std::string& flag, std::string_view v) {
   T out{};
   const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (v.empty() || ec != std::errc{} || end != v.data() + v.size()) {
-    std::fprintf(stderr, "--%s: expected %s, got '%.*s'\n", flag.c_str(),
-                 std::is_integral_v<T> ? "an integer" : "a number", static_cast<int>(v.size()),
-                 v.data());
-    std::exit(1);
-  }
+  if (v.empty() || ec != std::errc{} || end != v.data() + v.size())
+    reject_value(flag, std::is_integral_v<T> ? "an integer" : "a number", v);
   return out;
 }
 
@@ -180,6 +184,17 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : parse_number<double>(key, it->second);
   }
+  /// The flag's value, or `choices[0]` when it is absent; a value that is
+  /// not one of `choices` is rejected ("expected a | b | ...").
+  [[nodiscard]] std::string get_choice(const std::string& key,
+                                       std::initializer_list<std::string_view> choices) const {
+    const std::string v = get(key, std::string(*choices.begin()));
+    if (std::find(choices.begin(), choices.end(), v) != choices.end()) return v;
+    std::string expected;
+    for (const std::string_view c : choices)
+      expected += (expected.empty() ? "" : " | ") + std::string(c);
+    reject_value(key, expected, v);
+  }
   [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
@@ -222,13 +237,19 @@ std::vector<std::pair<int, long>> parse_proposals(const std::string& flag, const
     const std::size_t comma = s.find(',', pos);
     const std::string_view item = std::string_view(s).substr(pos, comma - pos);
     const std::size_t eq = item.find('=');
-    if (eq != std::string::npos)
-      out.emplace_back(parse_number<int>(flag, item.substr(0, eq)),
-                       parse_number<long>(flag, item.substr(eq + 1)));
+    if (eq == std::string::npos) reject_value(flag, "P=V", item);
+    out.emplace_back(parse_number<int>(flag, item.substr(0, eq)),
+                     parse_number<long>(flag, item.substr(eq + 1)));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
   return out;
+}
+
+/// Returns `p` if it names one of the `n` processes, else rejects it.
+int process_id(const std::string& flag, int p, int n) {
+  if (p < 0 || p >= n) reject_value(flag, "0.." + std::to_string(n - 1), std::to_string(p));
+  return p;
 }
 
 int cmd_bounds(const Args&) {
@@ -245,13 +266,15 @@ int cmd_bounds(const Args&) {
   return 0;
 }
 
+/// The --model values of `run` and `chaos`; the first is the default.
+const std::initializer_list<std::string_view> kModels = {"sync", "ps", "wan"};
+
 std::unique_ptr<net::LatencyModel> make_model(const std::string& name, int n) {
   const sim::Tick delta = 100;
   if (name == "ps") return std::make_unique<net::PartialSynchrony>(1500, delta, 1200);
   if (name == "wan") {
-    std::vector<int> sites(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) sites[static_cast<std::size_t>(i)] = i % 9;
-    return std::make_unique<net::WanMatrix>(net::WanMatrix::nine_regions(2).restrict(sites));
+    const geo::LatencyMatrix nine = geo::LatencyMatrix::nine_regions();
+    return std::make_unique<net::WanMatrix>(nine, geo::round_robin_placement(n, nine));
   }
   return std::make_unique<net::SynchronousRounds>(delta);
 }
@@ -305,12 +328,13 @@ int report_run(Runner& runner, const SystemConfig& cfg, const Args& args,
   auto& cluster = runner.cluster();
   // Prefix any TWOSTEP_LOG output produced during the run with virtual time.
   util::ScopedLogClock log_clock([&cluster] { return cluster.now(); });
-  for (const int p : parse_int_list("crash", args.get("crash"))) cluster.crash(p);
+  for (const int p : parse_int_list("crash", args.get("crash")))
+    cluster.crash(process_id("crash", p, cfg.n));
   cluster.start_all();
   auto proposals = parse_proposals("propose", args.get("propose"));
   if (proposals.empty())
     for (int p = 0; p < cfg.n; ++p) proposals.emplace_back(p, 100 + p);
-  for (const auto& [p, v] : proposals) cluster.propose(p, Value{v});
+  for (const auto& [p, v] : proposals) cluster.propose(process_id("propose", p, cfg.n), Value{v});
   cluster.run(5'000'000);
 
   const sim::Tick delta = cluster.delta();
@@ -341,7 +365,8 @@ int report_run(Runner& runner, const SystemConfig& cfg, const Args& args,
   }
   if (tracer && args.has("trace-out")) {
     const std::string path = args.get("trace-out");
-    if (!write_file(path, [&](std::ostream& os) { obs::write_chrome_trace(*tracer, os); }))
+    const auto spans = obs::sim_spans(tracer->events());
+    if (!write_file(path, [&](std::ostream& os) { obs::write_chrome_spans(spans, os); }))
       return 1;
     std::printf("trace written to %s (load in ui.perfetto.dev)\n", path.c_str());
   }
@@ -357,8 +382,9 @@ int cmd_run(const Args& args) {
 
   const int n = static_cast<int>(args.get_int("n", cluster_size(protocol, e, f)));
   const SystemConfig cfg{n, f, e};
+  const std::string model_name = args.get_choice("model", kModels);
   std::printf("protocol=%s n=%d e=%d f=%d model=%s seed=%llu\n\n", protocol.c_str(), n, e, f,
-              args.get("model", "sync").c_str(), static_cast<unsigned long long>(seed));
+              model_name.c_str(), static_cast<unsigned long long>(seed));
 
   // Observability: a tracer when any trace output is requested, a registry
   // when metrics are; with neither flag the probe stays null and the run is
@@ -371,7 +397,7 @@ int cmd_run(const Args& args) {
   if (want_trace) probe.tracer = &tracer;
   if (want_metrics) probe.metrics = &metrics;
 
-  auto model = make_model(args.get("model", "sync"), n);
+  auto model = make_model(model_name, n);
   obs::RunTracer* tracer_out = want_trace ? &tracer : nullptr;
   obs::MetricsRegistry* metrics_out = want_metrics ? &metrics : nullptr;
   harness::RunSpec spec(cfg);
@@ -415,7 +441,7 @@ int cmd_attack(const Args& args) {
 int cmd_fuzz(const Args& args) {
   const int e = static_cast<int>(args.get_int("e", 2));
   const int f = static_cast<int>(args.get_int("f", 2));
-  const std::string mode_name = args.get("mode", "task");
+  const std::string mode_name = args.get_choice("mode", {"task", "object"});
   const core::Mode mode = mode_name == "object" ? core::Mode::kObject : core::Mode::kTask;
   const int bound = mode == core::Mode::kTask ? SystemConfig::min_processes_task(e, f)
                                               : SystemConfig::min_processes_object(e, f);
@@ -423,7 +449,8 @@ int cmd_fuzz(const Args& args) {
   const SystemConfig cfg{n, f, e};
 
   core::SelectionPolicy policy = core::SelectionPolicy::kPaper;
-  const std::string policy_name = args.get("policy", "paper");
+  const std::string policy_name =
+      args.get_choice("policy", {"paper", "noexcl", "notie", "nothresh"});
   if (policy_name == "noexcl") policy = core::SelectionPolicy::kNoProposerExclusion;
   if (policy_name == "notie") policy = core::SelectionPolicy::kNoMaxTieBreak;
   if (policy_name == "nothresh") policy = core::SelectionPolicy::kNoThresholdBranch;
@@ -531,6 +558,7 @@ int cmd_chaos(const Args& args) {
   const int runs = static_cast<int>(args.get_int("runs", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const bool reliable = !args.has("raw");
+  const std::string model_name = args.get_choice("model", kModels);
 
   // --partition T1-T2: sever the lower half of the cluster during [T1, T2).
   sim::Tick part_since = -1, part_heal = -1;
@@ -545,14 +573,14 @@ int cmd_chaos(const Args& args) {
   std::printf(
       "chaos: protocol=%s n=%d e=%d f=%d model=%s runs=%d seed=%llu "
       "drop=%.2f dup=%.2f reorder=%.2f partition=%s reliable=%s\n\n",
-      protocol.c_str(), n, e, f, args.get("model", "sync").c_str(), runs,
+      protocol.c_str(), n, e, f, model_name.c_str(), runs,
       static_cast<unsigned long long>(seed), drop, dup, reorder,
       args.has("partition") ? args.get("partition").c_str() : "none", reliable ? "on" : "off");
 
   ChaosTally tally;
   for (int i = 0; i < runs; ++i) {
     const std::uint64_t run_seed = util::splitmix64(seed, static_cast<std::uint64_t>(i));
-    auto model = make_model(args.get("model", "sync"), n);
+    auto model = make_model(model_name, n);
     const sim::Tick delta = model->delta();
     auto plan = std::make_shared<faults::FaultPlan>(run_seed);
     if (drop > 0) plan->drop(drop);
@@ -639,12 +667,18 @@ std::optional<transport::Endpoint> parse_endpoint(const std::string& s) {
   return transport::Endpoint{s.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
-std::vector<transport::Endpoint> parse_endpoint_list(const std::string& s) {
+/// Parses `--<flag> H:P,H:P,...`.  An entry that is not H:P is rejected:
+/// skipping it would shift every later entry's replica id.
+std::vector<transport::Endpoint> parse_endpoint_list(const std::string& flag,
+                                                     const std::string& s) {
   std::vector<transport::Endpoint> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
     const std::size_t comma = s.find(',', pos);
-    if (auto ep = parse_endpoint(s.substr(pos, comma - pos))) out.push_back(std::move(*ep));
+    const std::string entry = s.substr(pos, comma - pos);
+    auto ep = parse_endpoint(entry);
+    if (!ep) reject_value(flag, "H:P", entry);
+    out.push_back(std::move(*ep));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -686,10 +720,6 @@ node::StorageOptions storage_options(const Args& args) {
       static_cast<std::uint64_t>(args.get_int("snapshot-every", 0));
   storage.wal_segment_bytes = static_cast<std::uint64_t>(
       args.get_int("wal-segment-bytes", static_cast<long>(storage.wal_segment_bytes)));
-  storage.transfer_retry_min_us = args.get_int(
-      "transfer-retry-min-us", static_cast<long>(storage.transfer_retry_min_us));
-  storage.transfer_retry_max_us = args.get_int(
-      "transfer-retry-max-us", static_cast<long>(storage.transfer_retry_max_us));
   return storage;
 }
 
@@ -747,15 +777,13 @@ std::string geo_banner(const transport::ChaosConfig& chaos) {
 
 /// The localcluster knobs shared by the rsm and single-shot paths:
 /// --trace-dir enables per-process flight recorders (dumped via
-/// write_trace_dir after the run), --stats-interval-ms arms the periodic
-/// in-node metrics snapshotter, the storage flag family (see
+/// write_trace_dir after the run), the storage flag family (see
 /// storage_options) gives every replica a WAL + snapshot store, and the
 /// geo flag family (see apply_geo_options) emulates a multi-region
 /// deployment on the peer links.  nullopt on a bad geo spec.
 std::optional<node::ClusterOptions> local_cluster_options(const Args& args, int n) {
   node::ClusterOptions options;
   options.trace = args.has("trace-dir");
-  options.stats_interval_ms = static_cast<int>(args.get_int("stats-interval-ms", 0));
   options.storage = storage_options(args);
   options.failover = failover_options(args);
   if (!apply_geo_options(args, n, options.chaos)) return std::nullopt;
@@ -1380,7 +1408,7 @@ int cmd_loadgen(const Args& args) {
 
   // Remote mode: drive a cluster someone else is running.
   if (args.has("connect")) {
-    const auto endpoints = parse_endpoint_list(args.get("connect"));
+    const auto endpoints = parse_endpoint_list("connect", args.get("connect"));
     if (endpoints.empty()) {
       std::fprintf(stderr, "loadgen: --connect needs H:P[,H:P...]\n");
       return 1;
@@ -1457,7 +1485,6 @@ template <typename P, typename MakeProc>
 int serve_until_signal(ProcessId id, const std::vector<transport::Endpoint>& peers,
                        const transport::Endpoint& self, MakeProc make, const Args& args) {
   node::RuntimeOptions rt_options;
-  rt_options.stats_interval_ms = static_cast<int>(args.get_int("stats-interval-ms", 0));
   // A multi-process replica persists under <storage-dir>/replica-<id>; the
   // same flag family as the local-cluster commands (see storage_options).
   rt_options.storage = storage_options(args);
@@ -1483,7 +1510,7 @@ int serve_until_signal(ProcessId id, const std::vector<transport::Endpoint>& pee
 }
 
 int cmd_serve(const Args& args) {
-  const auto peers = parse_endpoint_list(args.get("peers"));
+  const auto peers = parse_endpoint_list("peers", args.get("peers"));
   const int id = static_cast<int>(args.get_int("id", 0));
   // --id == peers.size() is the joiner spelling: a brand-new replica whose
   // genesis universe is the listed cluster, with its own --listen endpoint
@@ -1805,8 +1832,6 @@ constexpr Flag kStorageFlags[] = {
     {"group-commit-us", "G", "one barrier fsync per G-us window (0: per entry)"},
     {"snapshot-every", "K", "rsm: snapshot + truncate the WAL every K records"},
     {"wal-segment-bytes", "B", "WAL segment rotation threshold (default 8 MiB)"},
-    {"transfer-retry-min-us", "T", "snapshot re-request backoff floor (300 ms)"},
-    {"transfer-retry-max-us", "T", "... and cap, jittered, doubling (default 2 s)"},
 };
 
 constexpr Flag kFailoverFlags[] = {
@@ -1914,7 +1939,6 @@ constexpr Flag kLocalClusterFlags[] = {
     {"trace-dir", "DIR",
      "flight-record every process into\n"
      "DIR/<process>.jsonl (the input of tracemerge)"},
-    {"stats-interval-ms", "T", "arm each replica's periodic metrics snapshot"},
 };
 
 constexpr Flag kChaosSoakFlags[] = {
@@ -1954,7 +1978,6 @@ constexpr Flag kServeFlags[] = {
     {"peers", "H:P,...", "every replica's listen endpoint, in id order"},
     {"listen", "H:P", "a joiner's own listen endpoint"},
     {"protocol", "P", "rsm (default), epaxos, task, object, fastpaxos"},
-    {"stats-interval-ms", "T", "arm the periodic metrics snapshot"},
 };
 
 constexpr Flag kClientFlags[] = {
