@@ -1,8 +1,5 @@
 #include "node/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <time.h>
@@ -11,7 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstring>
+#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -84,20 +81,11 @@ void ClientSession::fail_over() {
   count("client.failovers", failovers_);
 }
 
-bool ClientSession::dial_current() {
-  const transport::Endpoint& ep = servers_[current_];
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) return false;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+bool ClientSession::dial_current(std::int64_t deadline) {
+  const int fd = transport::dial_blocking(
+      servers_[current_],
+      std::chrono::steady_clock::now() + std::chrono::microseconds(deadline - now_us()));
   if (fd < 0) return false;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   parser_ = transport::FrameParser{};
   return true;
@@ -108,7 +96,7 @@ bool ClientSession::reconnect(std::int64_t deadline) {
     // One pass over the replica list per backoff round: a crashed proxy
     // costs one refused connect, then the next replica answers.
     for (std::size_t tried = 0; tried < servers_.size(); ++tried) {
-      if (dial_current()) {
+      if (dial_current(deadline)) {
         redial_backoff_.reset();
         return true;
       }
@@ -125,17 +113,6 @@ bool ClientSession::reconnect(std::int64_t deadline) {
 bool ClientSession::connect() {
   if (fd_ >= 0) return true;
   return reconnect(now_us() + options_.connect_timeout_ms * 1000);
-}
-
-bool ClientSession::send_all(const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 ClientSession::Wait ClientSession::await_reply(std::int64_t id, std::int64_t deadline,
@@ -193,7 +170,7 @@ std::optional<codec::ClientReply> ClientSession::call(std::int64_t payload) {
 
   for (;;) {
     if (fd_ < 0 && !reconnect(deadline)) return std::nullopt;
-    if (!send_all(frame)) {
+    if (!transport::send_all(fd_, frame)) {
       count("client.conn_lost", conn_lost_);
       fail_over();
       if (now_us() >= deadline) return std::nullopt;

@@ -116,15 +116,14 @@ class ClientSession {
  private:
   void close();
   [[nodiscard]] std::int64_t now_us() const;
-  /// Blocking dial of servers_[current_]; true on success.
-  bool dial_current();
+  /// Dial of servers_[current_] that gives up at `deadline`; true on success.
+  bool dial_current(std::int64_t deadline);
   /// Cycles endpoints with backoff+jitter until connected or `deadline`.
   bool reconnect(std::int64_t deadline);
   /// Closes the socket and advances to the next replica, counting the
   /// failover.  (No-op advance with a single server — it still re-dials.)
   void fail_over();
   void count(const char* name, std::int64_t& local);
-  bool send_all(const std::vector<std::uint8_t>& bytes);
 
   enum class Wait { kGot, kConnLost, kTimeout };
   Wait await_reply(std::int64_t id, std::int64_t deadline, codec::ClientReply& out);

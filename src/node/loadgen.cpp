@@ -1,12 +1,10 @@
 #include "node/loadgen.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -16,21 +14,12 @@ namespace twostep::node {
 
 namespace {
 
-/// Blocking loopback dial; -1 on failure.  The Connection ctor sets
-/// TCP_NODELAY on the fd, so no socket options are needed here.
-int blocking_dial(const transport::Endpoint& ep) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
+/// Dial budgets.  The first dial runs before the loop starts; a redial
+/// runs on the loop thread, where a stalled connect would freeze the
+/// arrivals and replies of every other connection, so it gets a short one
+/// and retries after the reconnect backoff instead.
+constexpr std::chrono::milliseconds kDialTimeout{5'000};
+constexpr std::chrono::milliseconds kRedialTimeout{20};
 
 std::int64_t wall_salt() {
   timespec ts{};
@@ -149,7 +138,7 @@ void OpenLoopLoadgen::redial(int conn_idx) {
   const transport::Endpoint& ep =
       options_.spread ? servers_[static_cast<std::size_t>(conn_idx) % servers_.size()]
                       : servers_.front();
-  const int fd = blocking_dial(ep);
+  const int fd = transport::dial_blocking(ep, std::chrono::steady_clock::now() + kRedialTimeout);
   if (fd < 0) {
     loop_.schedule_after(options_.reconnect_backoff_ms * 1000,
                          [this, conn_idx] { redial(conn_idx); });
@@ -179,7 +168,7 @@ LoadResult OpenLoopLoadgen::run() {
     const transport::Endpoint& ep =
         options_.spread ? servers_[static_cast<std::size_t>(c) % servers_.size()]
                         : servers_.front();
-    const int fd = blocking_dial(ep);
+    const int fd = transport::dial_blocking(ep, std::chrono::steady_clock::now() + kDialTimeout);
     if (fd < 0) throw std::runtime_error("loadgen: cannot reach " + ep.to_string());
     auto conn = std::make_shared<transport::Connection>(loop_, fd, &stats_);
     conns_[static_cast<std::size_t>(c)] = conn;

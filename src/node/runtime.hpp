@@ -87,13 +87,12 @@ struct StorageOptions {
   /// disables persistence entirely — enabled() gates every other field.
   std::string dir;
   bool fsync = true;  ///< fdatasync per barrier (off: bench/tests)
-  /// > 0: group-commit the WAL.  Instead of one fdatasync per protocol
-  /// entry, appended records accumulate and a single barrier fsync runs at
-  /// most this many microseconds later (or sooner, when the held-message
-  /// cap is hit); every message and client reply produced while records
-  /// are unsynced is held behind the barrier, so persist-before-send holds
-  /// per barrier exactly as it held per entry.  0 = sync per entry (the
-  /// pre-group-commit behavior, byte for byte).
+  /// When the WAL barrier runs.  Every message and client reply produced
+  /// while records are unsynced is held until a barrier fsyncs them.  0
+  /// runs the barrier at the end of each protocol entry that appended
+  /// records; > 0 lets records accumulate and runs one barrier at most
+  /// this many microseconds later (or sooner, when the held-message cap is
+  /// hit).
   int group_commit_us = 0;
   /// WAL segment rotation threshold (storage::WalOptions::segment_bytes).
   std::uint64_t wal_segment_bytes = 8ull << 20;
@@ -211,8 +210,6 @@ class Runtime {
     deliver_us_ = &metrics_.log_histogram("node.deliver_us");
     wal_sync_us_ = &metrics_.log_histogram("wal.sync_us");
     request_hop_us_ = &metrics_.log_histogram("node.request_hop_us");
-    if (options_.storage.group_commit_us > 0)
-      barrier_records_ = &metrics_.log_histogram("wal.barrier_records");
     stats_.outbox_bytes = &metrics_.log_histogram("link.outbox_bytes");
     stats_.pending_frames = &metrics_.log_histogram("link.pending_frames");
     loop_.set_probe(transport::LoopProbe{
@@ -296,7 +293,7 @@ class Runtime {
   /// Thread-safe (hops onto the loop thread).
   void propose(consensus::Value v) {
     loop_.post([this, v] {
-      with_wal([&] {
+      with_wal({}, [&] {
         ensure_started();
         if constexpr (RsmLike<P>) {
           proc_->submit(v.get());
@@ -316,7 +313,7 @@ class Runtime {
   void propose_config(rsm::ConfigChange change) {
     if constexpr (Reconfigurable<P>) {
       loop_.post([this, change = std::move(change)] {
-        with_wal([&] {
+        with_wal({}, [&] {
           ensure_started();
           proc_->submit_config(change);
         });
@@ -406,7 +403,7 @@ class Runtime {
       const std::uint64_t env_id = rt_.next_env_timer_++;
       const std::uint64_t loop_id = rt_.loop_.schedule_after(delay, [this, env_id] {
         rt_.env_timers_.erase(env_id);
-        rt_.with_wal([&] { rt_.proc_->on_timer(consensus::TimerId{env_id}); });
+        rt_.with_wal({}, [&] { rt_.proc_->on_timer(consensus::TimerId{env_id}); });
       });
       rt_.env_timers_.emplace(env_id, loop_id);
       return consensus::TimerId{env_id};
@@ -466,17 +463,17 @@ class Runtime {
     }
   };
 
-  /// A protocol message parked behind a group-commit barrier, with the
-  /// trace context of the entry that produced it.
+  /// A protocol message parked behind the WAL barrier, with the trace
+  /// context of the scope that produced it.
   struct HeldSend {
     consensus::ProcessId to;
     Message msg;
     obs::TraceContext ctx;
   };
 
-  /// A client reply parked behind a group-commit barrier: under group
-  /// commit the proxy's own vote may be part of the deciding quorum and
-  /// not yet durable, so acks wait for the barrier too (persist-before-ack).
+  /// A client reply parked behind the WAL barrier: the proxy's own vote may
+  /// be part of the deciding quorum and not yet durable, so acks wait for
+  /// the barrier too (persist-before-ack).
   struct HeldReply {
     OutstandingRequest req;
     codec::ClientReply msg;
@@ -492,20 +489,11 @@ class Runtime {
         const std::lock_guard<std::mutex> lock(state_mu_);
         applied_.emplace_back(slot, cmd);
       };
-      proc_->on_commit = [this](std::int64_t cmd, sim::Tick submitted_at, std::int32_t slot) {
+      proc_->on_commit = [this](std::int64_t cmd, sim::Tick, std::int32_t slot) {
         const auto it = outstanding_rsm_.find(cmd);
         if (it == outstanding_rsm_.end()) return;
-        const codec::ClientReply answer{it->second.request_id, cmd, slot, true};
-        if (it->second.client_id != 0) {
-          ClientDedup& d = dedup_[it->second.client_id];
-          if (d.last_id == it->second.request_id) {
-            d.done = true;
-            d.reply = answer;
-          }
-        }
-        reply(it->second, answer);
+        answer(it->second, codec::ClientReply{it->second.request_id, cmd, slot, true});
         outstanding_rsm_.erase(it);
-        (void)submitted_at;
       };
       if constexpr (Reconfigurable<P>) {
         proc_->on_config = [this](std::int32_t slot, const rsm::ConfigChange& change,
@@ -519,17 +507,8 @@ class Runtime {
           const std::lock_guard<std::mutex> lock(state_mu_);
           decided_ = v;
         }
-        for (OutstandingRequest& req : outstanding_) {
-          const codec::ClientReply answer{req.request_id, v.get(), -1, true};
-          if (req.client_id != 0) {
-            ClientDedup& d = dedup_[req.client_id];
-            if (d.last_id == req.request_id) {
-              d.done = true;
-              d.reply = answer;
-            }
-          }
-          reply(req, answer);
-        }
+        for (const OutstandingRequest& req : outstanding_)
+          answer(req, codec::ClientReply{req.request_id, v.get(), -1, true});
         outstanding_.clear();
       };
     }
@@ -555,16 +534,11 @@ class Runtime {
       links_changed();
       // p may have missed what we sent while the link was down.  With an
       // applied prefix, send p ours: if p is behind it answers with its
-      // own, and handle_catchup heals it from there.
-      if constexpr (kHasAppliedPrefix) {
+      // own, and handle_catchup heals it from there (snapshot included).
+      if constexpr (kHasAppliedPrefix)
         links_[idx]->send_frame(transport::FrameKind::kCatchup, catchup_frame());
-      } else if constexpr (HasDecideResend<P> || storage::kHasSnapshot<P>) {
-        // Offer before the Decide resend: a peer behind our compaction
-        // floor cannot be healed by Decides alone (slots below the floor
-        // no longer exist here), it needs the snapshot.
-        offer_snapshot_to(p);
+      else
         resend_decided_to(p);
-      }
     });
     links_[idx]->start();
   }
@@ -610,12 +584,11 @@ class Runtime {
     } else {
       metrics_.counter("config.removes_applied").add();
       removed_.insert(change.replica);
-      const auto idx = static_cast<std::size_t>(change.replica);
-      if (change.replica != self_ && idx < links_.size() && links_[idx]) {
-        links_[idx]->shutdown();  // treat-as-crashed: stop talking to it
+      if (transport::PeerLink* link = link_to(change.replica)) {
+        link->shutdown();  // treat-as-crashed: stop talking to it
         {
           const std::lock_guard<std::mutex> lock(links_mu_);
-          links_[idx].reset();
+          links_[static_cast<std::size_t>(change.replica)].reset();
         }
         links_changed();
       }
@@ -668,10 +641,8 @@ class Runtime {
     std::int32_t version = 0;
     if constexpr (Reconfigurable<P>) version = proc_->config_version();
     const std::vector<std::uint8_t> frame = codec::encode(Frame{self_, version});
-    for (const consensus::ProcessId m : members) {
-      const auto idx = static_cast<std::size_t>(m);
-      if (m != self_ && idx < links_.size() && links_[idx]) links_[idx]->send_frame(kind, frame);
-    }
+    for (const consensus::ProcessId m : members)
+      if (transport::PeerLink* link = link_to(m)) link->send_frame(kind, frame);
   }
 
   /// Publishes the detector's leader through the leader_ atomic (the
@@ -722,13 +693,14 @@ class Runtime {
       engine_.emplace(options_.storage.dir + "/replica-" + std::to_string(self_),
                       std::move(engine_options));
       wal_ = &engine_->wal();
+      barriers_ = &metrics_.counter("wal.barriers");
+      if (options_.storage.group_commit_us > 0)
+        barrier_records_ = &metrics_.log_histogram("wal.barrier_records");
       bool recovered_snapshot = false;
       if (engine_->snapshot()) {
         if (install_snapshot_payload(engine_->snapshot()->payload)) {
           recovered_snapshot = true;
           metrics_.counter("snapshot.recovered").add();
-          if constexpr (requires { proc_->compact_floor(); })
-            snapshot_floor_ = proc_->compact_floor();
         } else {
           // Undecodable payload behind a valid CRC frame: same fallback as
           // a corrupt file — the WAL tail is every surviving record.
@@ -756,71 +728,41 @@ class Runtime {
     }
   }
 
-  /// Wraps one protocol entry point under the write-ahead discipline:
-  /// outgoing messages are buffered while `fn` runs, the changed acceptor
-  /// state is appended + synced, and only then do the messages go out.  A
-  /// crash between the state change and the sync thus loses state *nobody
-  /// has seen* — the torn tail the WAL truncates on restart.  Client
-  /// replies bypass the buffer deliberately: a reply reports a decision,
-  /// and decisions rest on the already-durable votes of a quorum, not on
-  /// this node's volatile memory.
+  /// Wraps one protocol entry point under the write-ahead discipline.  The
+  /// entry runs with `ctx` as the trace context of the sends it causes;
+  /// its messages and client replies are held, its changed state is
+  /// appended to the WAL, and the held traffic leaves only once the
+  /// barrier (run_barrier) has synced those records.  A crash between the
+  /// state change and the sync thus loses state *nobody has seen* — the
+  /// torn tail the WAL truncates on restart.
   ///
-  /// Group commit (options_.group_commit_us > 0) relaxes *when* the sync
-  /// happens but not the ordering: the entry's records are appended, its
-  /// messages (and any client replies it produced) are moved to the held
-  /// queues, and a barrier timer fires one fdatasync for every entry
-  /// appended since the last barrier, releasing all held traffic at once.
-  /// No message ever leaves while a record it could reveal is unsynced.
+  /// options_.storage.group_commit_us decides only when the barrier runs:
+  /// 0 runs it at the end of this entry; > 0 arms a timer so that one
+  /// fdatasync covers every entry appended until it fires (or until
+  /// kMaxHeldMessages are held).  Traffic produced outside any entry while
+  /// records are unsynced waits for the same barrier (see holding()).
   template <typename Fn>
-  void with_wal(Fn&& fn) {
+  void with_wal(const obs::TraceContext& ctx, Fn&& fn) {
+    const obs::TraceContext saved_ctx = std::exchange(out_ctx_, ctx);
     if (!wal_ || entry_active_) {
       fn();
-      return;
-    }
-    entry_active_ = true;
-    fn();
-    if (options_.storage.group_commit_us > 0) {
-      durable_.capture(*proc_, *wal_);  // append only; the barrier syncs
+    } else {
+      entry_active_ = true;
+      fn();
+      durable_.capture(*proc_, *wal_);
       entry_active_ = false;
-      if (wal_->has_pending()) {
-        for (auto& [to, msg] : buffered_sends_)
-          held_sends_.push_back(HeldSend{to, std::move(msg), out_ctx_});
-        buffered_sends_.clear();
+      if (options_.storage.group_commit_us > 0 && wal_->has_pending() &&
+          held_sends_.size() + held_replies_.size() < kMaxHeldMessages)
         arm_barrier();
-        if (held_sends_.size() + held_replies_.size() >= kMaxHeldMessages) run_barrier();
-      } else {
-        // Entry changed nothing durable and nothing older is unsynced:
-        // release immediately, exactly as the per-entry path would.
-        flush_buffered_sends();
-        flush_held_replies();
-      }
-      return;
+      else
+        run_barrier();
     }
-    const std::int64_t sync_start_us = obs::FlightRecorder::now_us();
-    if (durable_.capture(*proc_, *wal_)) {
-      wal_->sync();
-      const std::int64_t sync_end_us = obs::FlightRecorder::now_us();
-      wal_sync_us_->record(sync_end_us - sync_start_us);
-      if (flight_ && out_ctx_.active())
-        flight_->record({out_ctx_.trace_id, flight_->next_span_id(), out_ctx_.parent_span,
-                         "wal.fsync", sync_start_us, sync_end_us - sync_start_us, 0});
-    }
-    entry_active_ = false;
-    flush_buffered_sends();
-    maybe_snapshot();
+    out_ctx_ = saved_ctx;
   }
 
-  void flush_buffered_sends() {
-    std::vector<std::pair<consensus::ProcessId, Message>> out;
-    out.swap(buffered_sends_);
-    for (auto& [to, msg] : out) raw_send(to, msg);
-  }
-
-  void flush_held_replies() {
-    std::vector<HeldReply> replies;
-    replies.swap(held_replies_);
-    for (auto& r : replies) send_reply_now(r.req, r.msg);
-  }
+  /// True while a protocol message or client reply must not leave: an
+  /// entry is running, or WAL records are appended but not yet synced.
+  [[nodiscard]] bool holding() const { return wal_ && (entry_active_ || wal_->has_pending()); }
 
   /// Arms the group-commit barrier timer if none is pending.
   void arm_barrier() {
@@ -831,37 +773,46 @@ class Runtime {
     });
   }
 
-  /// The group-commit barrier: one fdatasync covering every record
-  /// appended since the last barrier, then release the held protocol
-  /// messages and, last, the client replies acknowledging them.
+  /// The barrier: one fdatasync covering every record appended since the
+  /// last one, then the held traffic leaves.  Client replies go first: once
+  /// synced either order is safe, and a client is waiting on the reply
+  /// while peers' flushes would only delay it.  Protocol messages follow,
+  /// each under the trace context it was sent in.  Run at the end of an
+  /// entry, the sync is a wal.fsync span of that entry's trace.
   void run_barrier() {
     if (barrier_timer_ != 0) {
       loop_.cancel_timer(barrier_timer_);
       barrier_timer_ = 0;
     }
-    if (wal_ && wal_->has_pending()) {
+    if (wal_->has_pending()) {
       if (barrier_records_)
         barrier_records_->record(static_cast<std::int64_t>(wal_->pending_records()));
       const std::int64_t sync_start_us = obs::FlightRecorder::now_us();
       wal_->sync();
-      wal_sync_us_->record(obs::FlightRecorder::now_us() - sync_start_us);
-      metrics_.counter("wal.barriers").add();
+      const std::int64_t sync_us = obs::FlightRecorder::now_us() - sync_start_us;
+      wal_sync_us_->record(sync_us);
+      barriers_->add();
+      if (flight_ && out_ctx_.active())
+        flight_->record({out_ctx_.trace_id, flight_->next_span_id(), out_ctx_.parent_span,
+                         "wal.fsync", sync_start_us, sync_us, 0});
     }
+    std::vector<HeldReply> replies;
+    replies.swap(held_replies_);
+    for (const HeldReply& r : replies) send_reply_now(r.req, r.msg);
     std::vector<HeldSend> sends;
     sends.swap(held_sends_);
     const obs::TraceContext saved_ctx = out_ctx_;
-    for (auto& h : sends) {
-      out_ctx_ = h.ctx;  // each held send keeps the trace of its entry
+    for (const HeldSend& h : sends) {
+      out_ctx_ = h.ctx;
       raw_send(h.to, h.msg);
     }
     out_ctx_ = saved_ctx;
-    flush_held_replies();
     maybe_snapshot();
   }
 
   void send_msg(consensus::ProcessId to, const Message& msg) {
-    if (entry_active_) {
-      buffered_sends_.emplace_back(to, msg);
+    if (holding()) {
+      held_sends_.push_back(HeldSend{to, msg, out_ctx_});
       return;
     }
     raw_send(to, msg);
@@ -875,8 +826,7 @@ class Runtime {
       loop_.post([this, msg, ctx = out_ctx_] { deliver(self_, msg, ctx); });
       return;
     }
-    if (to < 0 || to >= n_ || links_.empty()) return;
-    auto& link = links_[static_cast<std::size_t>(to)];
+    transport::PeerLink* link = link_to(to);
     if (!link) return;
     const transport::FrameKind kind = WireTraits<Message>::kind_of(msg);
     if (out_ctx_.active()) {
@@ -890,33 +840,36 @@ class Runtime {
     }
   }
 
+  /// The outbound link to peer `p`, or null (no such peer, self, retired,
+  /// or before start()).
+  [[nodiscard]] transport::PeerLink* link_to(consensus::ProcessId p) const {
+    const auto idx = static_cast<std::size_t>(p);
+    return p >= 0 && idx < links_.size() ? links_[idx].get() : nullptr;
+  }
+
   /// Runs the protocol's message handler under the WAL discipline.  With an
   /// active trace context the handling becomes a span (named after the
   /// message type, parented on the sender's span) and every send it causes
-  /// — immediate or WAL-buffered — carries that span as the new parent.
+  /// carries that span as the new parent.
   void deliver(consensus::ProcessId from, const Message& msg,
                const obs::TraceContext& ctx = {}) {
-    const obs::TraceContext saved_ctx = out_ctx_;
-    std::uint64_t span = 0;
+    obs::TraceContext entry_ctx;
     std::int64_t span_start_us = 0;
     if (flight_ && ctx.active()) {
-      span = flight_->next_span_id();
       span_start_us = obs::FlightRecorder::now_us();
-      out_ctx_ = obs::TraceContext{ctx.trace_id, span, ctx.origin_us};
-    } else {
-      out_ctx_ = {};
+      entry_ctx = obs::TraceContext{ctx.trace_id, flight_->next_span_id(), ctx.origin_us};
     }
     const std::int64_t t0 = loop_.now_us();
-    with_wal([&] {
+    with_wal(entry_ctx, [&] {
       ensure_started();
       proc_->on_message(from, msg);
     });
     deliver_us_->record(loop_.now_us() - t0);
-    if (span != 0)
-      flight_->record({ctx.trace_id, span, ctx.parent_span, obs::message_label(msg),
-                       span_start_us, obs::FlightRecorder::now_us() - span_start_us,
+    if (entry_ctx.active())
+      flight_->record({ctx.trace_id, entry_ctx.parent_span, ctx.parent_span,
+                       obs::message_label(msg), span_start_us,
+                       obs::FlightRecorder::now_us() - span_start_us,
                        static_cast<std::int64_t>(from)});
-    out_ctx_ = saved_ctx;
   }
 
   void on_accept() {
@@ -961,32 +914,7 @@ class Runtime {
         refresh_inbound_count();
         if constexpr (kHasAppliedPrefix) catchup_unanswered_.insert(*peer);
         // The peer is up: redial it now, not at the next backoff retry.
-        const auto idx = static_cast<std::size_t>(*peer);
-        if (idx < links_.size() && links_[idx]) links_[idx]->redial_now();
-        return;
-      }
-      case transport::FrameKind::kHeartbeat: {
-        const auto it = inbound_peer_.find(conn.get());
-        if (it == inbound_peer_.end()) return;  // failure detection is peer-only
-        const auto hb = codec::decode_heartbeat(frame.payload);
-        if (hb) note_alive(it->second);
-        return;
-      }
-      case transport::FrameKind::kHandover: {
-        const auto it = inbound_peer_.find(conn.get());
-        if (it == inbound_peer_.end()) return;
-        const auto ho = codec::decode_handover(frame.payload);
-        if (ho) handle_handover(it->second);
-        return;
-      }
-      case transport::FrameKind::kCatchup: {
-        const auto it = inbound_peer_.find(conn.get());
-        if (it == inbound_peer_.end()) return;  // anti-entropy is peer-only
-        const auto cu = codec::decode_catchup(frame.payload);
-        if (!cu) return;
-        metrics_.counter("node.catchup_received").add();
-        // The first Catchup after a Hello is the peer's reconnect Catchup.
-        handle_catchup(it->second, cu->applied, catchup_unanswered_.erase(it->second) > 0);
+        if (transport::PeerLink* link = link_to(*peer)) link->redial_now();
         return;
       }
       case transport::FrameKind::kConfigCmd: {
@@ -1012,57 +940,63 @@ class Runtime {
                          codec::encode(codec::StatsReply{scrape->id, build_stats_json()}));
         return;
       }
+      default:
+        break;
+    }
+    // Every other frame is peer-only: its sender must have said Hello.
+    const auto sender = inbound_peer_.find(conn.get());
+    if (sender == inbound_peer_.end()) return;
+    const consensus::ProcessId from = sender->second;
+    switch (frame.kind) {
+      case transport::FrameKind::kHeartbeat:
+        if (codec::decode_heartbeat(frame.payload)) note_alive(from);
+        return;
+      case transport::FrameKind::kHandover:
+        if (codec::decode_handover(frame.payload)) handle_handover(from);
+        return;
+      case transport::FrameKind::kCatchup: {
+        const auto cu = codec::decode_catchup(frame.payload);
+        if (!cu) return;
+        metrics_.counter("node.catchup_received").add();
+        // The first Catchup after a Hello is the peer's reconnect Catchup.
+        handle_catchup(from, cu->applied, catchup_unanswered_.erase(from) > 0);
+        return;
+      }
       case transport::FrameKind::kTraced: {
         const auto traced = codec::decode_traced(frame.payload);
         if (!traced) return;
         const auto inner_kind = static_cast<transport::FrameKind>(traced->inner_kind);
         if (!WireTraits<Message>::accepts(inner_kind))
           return;  // traced frame for a protocol we don't host
-        const auto sender = inbound_peer_.find(conn.get());
-        if (sender == inbound_peer_.end()) return;  // same Hello gate as bare frames
-        note_alive(sender->second);
+        note_alive(from);
         auto inner = WireTraits<Message>::decode(inner_kind, traced->inner);
         if (!inner) return;
-        deliver(sender->second, *inner, traced->trace);
+        deliver(from, *inner, traced->trace);
         return;
       }
-      case transport::FrameKind::kSnapshotOffer: {
-        if constexpr (storage::kHasSnapshot<P>) {
-          const auto it = inbound_peer_.find(conn.get());
-          if (it == inbound_peer_.end()) return;  // snapshot frames are peer-only
-          const auto offer = codec::decode_snapshot_offer(frame.payload);
-          if (offer) handle_snapshot_offer(it->second, *offer);
-        }
+      case transport::FrameKind::kSnapshotOffer:
+        if constexpr (storage::kHasSnapshot<P>)
+          if (const auto offer = codec::decode_snapshot_offer(frame.payload))
+            handle_snapshot_offer(from, *offer);
         return;
-      }
-      case transport::FrameKind::kSnapshotRequest: {
-        if constexpr (storage::kHasSnapshot<P>) {
-          const auto it = inbound_peer_.find(conn.get());
-          if (it == inbound_peer_.end()) return;
-          const auto req = codec::decode_snapshot_request(frame.payload);
-          if (req) handle_snapshot_request(it->second, *req);
-        }
+      case transport::FrameKind::kSnapshotRequest:
+        if constexpr (storage::kHasSnapshot<P>)
+          if (const auto req = codec::decode_snapshot_request(frame.payload))
+            handle_snapshot_request(from, *req);
         return;
-      }
-      case transport::FrameKind::kSnapshotChunk: {
-        if constexpr (storage::kHasSnapshot<P>) {
-          const auto it = inbound_peer_.find(conn.get());
-          if (it == inbound_peer_.end()) return;
-          auto chunk = codec::decode_snapshot_chunk(frame.payload);
-          if (chunk) handle_snapshot_chunk(it->second, std::move(*chunk));
-        }
+      case transport::FrameKind::kSnapshotChunk:
+        if constexpr (storage::kHasSnapshot<P>)
+          if (auto chunk = codec::decode_snapshot_chunk(frame.payload))
+            handle_snapshot_chunk(std::move(*chunk));
         return;
-      }
       default:
         break;
     }
     if (!WireTraits<Message>::accepts(frame.kind)) return;  // not ours; drop
-    const auto it = inbound_peer_.find(conn.get());
-    if (it == inbound_peer_.end()) return;  // protocol frame before Hello
-    note_alive(it->second);
+    note_alive(from);
     auto msg = WireTraits<Message>::decode(frame.kind, frame.payload);
     if (!msg) return;  // malformed payload inside a well-formed frame
-    deliver(it->second, *msg);
+    deliver(from, *msg);
   }
 
   void handle_client_request(const std::shared_ptr<transport::Connection>& conn,
@@ -1115,14 +1049,13 @@ class Runtime {
       d.last_id = req.id;
       d.done = false;
     }
-    // Everything the protocol does on behalf of this request — including
-    // the WAL-buffered sends flushed by with_wal — is parented on the
-    // serve span.  Read the span fields now: `out` is moved below.
-    const obs::TraceContext saved_ctx = out_ctx_;
-    out_ctx_ = out.serve_span != 0
-                   ? obs::TraceContext{out.trace.trace_id, out.serve_span, out.trace.origin_us}
-                   : obs::TraceContext{};
-    with_wal([&] {
+    // Everything the protocol does on behalf of this request is parented
+    // on the serve span.  Read the span fields now: `out` is moved below.
+    const obs::TraceContext ctx =
+        out.serve_span != 0
+            ? obs::TraceContext{out.trace.trace_id, out.serve_span, out.trace.origin_us}
+            : obs::TraceContext{};
+    with_wal(ctx, [&] {
       if constexpr (RsmLike<P>) {
         // The command encoding packs (proxy, payload) into 64 bits; RSMs
         // that reserve payload bits (batching handles) shrink the client
@@ -1156,7 +1089,6 @@ class Runtime {
         }
       }
     });
-    out_ctx_ = saved_ctx;
   }
 
   /// Sane ceiling on Hello-announced peer ids: large enough for any
@@ -1169,34 +1101,40 @@ class Runtime {
   /// (reply.slot is the deciding slot, reply.value the internal command).
   void handle_config_command(const std::shared_ptr<transport::Connection>& conn,
                              const codec::ConfigCommand& cmd) {
+    OutstandingRequest out;
+    out.conn = conn;
+    out.request_id = cmd.id;
+    out.received_us = loop_.now_us();
     if constexpr (Reconfigurable<P>) {
-      OutstandingRequest out;
-      out.conn = conn;
-      out.request_id = cmd.id;
-      out.received_us = loop_.now_us();
-      if (cmd.change.replica < 0 || cmd.change.replica >= kMaxPeerId) {
-        reply(out, codec::ClientReply{cmd.id, 0, -1, false});
+      if (cmd.change.replica >= 0 && cmd.change.replica < kMaxPeerId) {
+        metrics_.counter("config.commands").add();
+        with_wal({}, [&] {
+          ensure_started();
+          const std::int64_t handle = proc_->submit_config(cmd.change);
+          outstanding_rsm_.insert_or_assign(handle, std::move(out));
+        });
         return;
       }
-      metrics_.counter("config.commands").add();
-      with_wal([&] {
-        ensure_started();
-        const std::int64_t handle = proc_->submit_config(cmd.change);
-        outstanding_rsm_.insert_or_assign(handle, std::move(out));
-      });
-    } else {
-      OutstandingRequest out;
-      out.conn = conn;
-      out.request_id = cmd.id;
-      out.received_us = loop_.now_us();
-      reply(out, codec::ClientReply{cmd.id, 0, -1, false});  // not reconfigurable
     }
+    reply(out, codec::ClientReply{cmd.id, 0, -1, false});  // bad id, or not reconfigurable
+  }
+
+  /// Records `msg` as the answer in the client's dedup record when `req`
+  /// is its latest request, then replies.
+  void answer(const OutstandingRequest& req, const codec::ClientReply& msg) {
+    if (req.client_id != 0) {
+      ClientDedup& d = dedup_[req.client_id];
+      if (d.last_id == req.request_id) {
+        d.done = true;
+        d.reply = msg;
+      }
+    }
+    reply(req, msg);
   }
 
   void reply(const OutstandingRequest& req, const codec::ClientReply& msg) {
-    // Under group commit, park the ack behind the pending barrier: the
-    // decision it reports may rest on this node's own not-yet-synced vote.
-    if (options_.storage.group_commit_us > 0 && wal_ && (entry_active_ || wal_->has_pending())) {
+    // The decision a reply reports may rest on this node's own unsynced vote.
+    if (holding()) {
       held_replies_.push_back(HeldReply{req, msg});
       return;
     }
@@ -1237,6 +1175,9 @@ class Runtime {
 
   /// True when P exposes the applied prefix the catch-up gossip compares.
   static constexpr bool kHasAppliedPrefix = requires(const P p) { p.applied_prefix(); };
+  // The snapshot code below reads P's applied prefix and compaction floor
+  // directly: every Snapshotable protocol has both.
+  static_assert(!storage::kHasSnapshot<P> || kHasAppliedPrefix);
 
   /// Periodic arm of anti-entropy.  The reconnect Catchup misses one
   /// failure shape: a Decide dropped by the network (chaos, or a real
@@ -1246,7 +1187,7 @@ class Runtime {
   /// with.  So each replica also sends its Catchup on a slow timer.  First
   /// tick is skewed per replica so a cluster doesn't gossip in lockstep.
   void arm_catchup_timer() {
-    if constexpr (kHasAppliedPrefix && (HasDecideResend<P> || storage::kHasSnapshot<P>)) {
+    if constexpr (kHasAppliedPrefix) {
       const std::int64_t period = options_.anti_entropy_period_us;
       if (period <= 0) return;
       const std::int64_t skew = static_cast<std::int64_t>(
@@ -1282,11 +1223,11 @@ class Runtime {
   /// mostly be dropped, and on_connected restarts the exchange anyway.
   void handle_catchup(consensus::ProcessId from, std::int64_t peer_applied, bool reconnect) {
     if constexpr (kHasAppliedPrefix) {
-      const auto idx = static_cast<std::size_t>(from);
-      if (idx >= links_.size() || !links_[idx] || !links_[idx]->connected()) return;
+      transport::PeerLink* link = link_to(from);
+      if (!link || !link->connected()) return;
       const auto applied = static_cast<std::int64_t>(proc_->applied_prefix());
       if (reconnect && peer_applied > applied)
-        links_[idx]->send_frame(transport::FrameKind::kCatchup, catchup_frame());
+        link->send_frame(transport::FrameKind::kCatchup, catchup_frame());
       if (peer_applied >= applied) return;
       offer_snapshot_to(from);  // heals a laggard below our compaction floor
       // ...and the tail above it: only the slots the peer has not applied
@@ -1310,12 +1251,11 @@ class Runtime {
   static constexpr std::int64_t kTransferRetryMinUs = 300'000;
   static constexpr std::int64_t kTransferRetryMaxUs = 2'000'000;
 
-  /// Checkpoint trigger, checked after every durability barrier (both the
-  /// per-entry sync and the group-commit barrier), which is the only time
-  /// the WAL fully covers the in-memory state.
+  /// Checkpoint trigger, checked after every WAL barrier, which is the
+  /// only time the WAL fully covers the in-memory state.
   void maybe_snapshot() {
     if constexpr (storage::kHasSnapshot<P>) {
-      if (engine_ && !entry_active_ && engine_->snapshot_due()) take_snapshot();
+      if (engine_ && engine_->snapshot_due()) take_snapshot();
     }
   }
 
@@ -1327,16 +1267,10 @@ class Runtime {
       if (!engine_) return;
       const std::int64_t t0 = obs::FlightRecorder::now_us();
       const std::vector<std::uint8_t> payload = build_snapshot_payload();
-      if constexpr (requires { proc_->applied_prefix(); })
-        snapshot_floor_ = proc_->applied_prefix();
+      snapshot_floor_ = proc_->applied_prefix();
       const std::uint64_t dropped = engine_->write_snapshot(payload);
-      if constexpr (requires {
-                      proc_->compact_to(std::int32_t{});
-                      durable_.compact(std::int32_t{});
-                    }) {
-        proc_->compact_to(static_cast<std::int32_t>(snapshot_floor_));
-        durable_.compact(proc_->compact_floor());
-      }
+      proc_->compact_to(static_cast<std::int32_t>(snapshot_floor_));
+      durable_.compact(proc_->compact_floor());
       metrics_.counter("snapshot.written").add();
       metrics_.counter("snapshot.bytes").add(payload.size());
       metrics_.counter("snapshot.write_us")
@@ -1353,7 +1287,8 @@ class Runtime {
   }
 
   /// Decodes and installs a payload (recovery and state transfer share
-  /// this path).  Returns false — leaving the protocol untouched — on any
+  /// this path) and raises snapshot_floor_ to the installed compaction
+  /// floor.  Returns false — leaving the protocol untouched — on any
   /// framing/version error.  The dedup table is merged, never overwritten:
   /// local entries with newer request ids win.
   bool install_snapshot_payload(std::span<const std::uint8_t> payload) {
@@ -1368,6 +1303,8 @@ class Runtime {
         const auto it = dedup_.find(client_id);
         if (it == dedup_.end() || it->second.last_id < d.last_id) dedup_[client_id] = d;
       }
+      snapshot_floor_ =
+          std::max(snapshot_floor_, static_cast<std::int64_t>(proc_->compact_floor()));
       return true;
     }
   }
@@ -1378,10 +1315,8 @@ class Runtime {
   /// the floor no longer exist here — so it answers with a request.
   void offer_snapshot_to(consensus::ProcessId peer) {
     if constexpr (storage::kHasSnapshot<P>) {
-      if (!engine_ || !engine_->snapshot() || links_.empty()) return;
-      if (peer < 0 || peer >= n_) return;
-      auto& link = links_[static_cast<std::size_t>(peer)];
-      if (!link) return;
+      transport::PeerLink* link = link_to(peer);
+      if (!engine_ || !engine_->snapshot() || !link) return;
       const codec::SnapshotOffer offer{
           snapshot_floor_, static_cast<std::int64_t>(engine_->snapshot()->payload.size())};
       link->send_frame(transport::FrameKind::kSnapshotOffer, codec::encode(offer));
@@ -1400,12 +1335,8 @@ class Runtime {
       // Fetch only from a peer we can send requests to.  A replica that has
       // not learned a joiner's config yet has no link to it, and a transfer
       // pinned to the joiner would stall while ignoring every other offer.
-      if (from < 0 || from >= static_cast<consensus::ProcessId>(links_.size()) ||
-          !links_[static_cast<std::size_t>(from)])
-        return;
-      std::int64_t applied = 0;
-      if constexpr (requires { proc_->applied_prefix(); }) applied = proc_->applied_prefix();
-      if (offer.floor <= applied) return;  // we hold everything it summarizes
+      if (!link_to(from)) return;
+      if (offer.floor <= proc_->applied_prefix()) return;  // we hold everything it summarizes
       if (transfer_) {
         if (offer.floor <= transfer_->floor) return;  // already fetching this or newer
         if (transfer_->retry_timer != 0) loop_.cancel_timer(transfer_->retry_timer);
@@ -1426,11 +1357,9 @@ class Runtime {
 
   void send_snapshot_request(consensus::ProcessId peer, std::int64_t floor,
                              std::int64_t offset) {
-    if (peer < 0 || peer >= n_ || links_.empty()) return;
-    auto& link = links_[static_cast<std::size_t>(peer)];
-    if (!link) return;
-    link->send_frame(transport::FrameKind::kSnapshotRequest,
-                     codec::encode(codec::SnapshotRequest{floor, offset}));
+    if (transport::PeerLink* link = link_to(peer))
+      link->send_frame(transport::FrameKind::kSnapshotRequest,
+                       codec::encode(codec::SnapshotRequest{floor, offset}));
   }
 
   /// Serves a transfer: streams every chunk from the requested offset.
@@ -1438,10 +1367,8 @@ class Runtime {
   /// prefix it has — so the server can stay stateless.
   void handle_snapshot_request(consensus::ProcessId from, const codec::SnapshotRequest& req) {
     if constexpr (storage::kHasSnapshot<P>) {
-      if (!engine_ || !engine_->snapshot() || links_.empty()) return;
-      if (from < 0 || from >= n_) return;
-      auto& link = links_[static_cast<std::size_t>(from)];
-      if (!link) return;
+      transport::PeerLink* link = link_to(from);
+      if (!engine_ || !engine_->snapshot() || !link) return;
       if (req.floor != snapshot_floor_) {
         // Stale generation (we snapshotted again since the offer): answer
         // with the current offer so the laggard restarts against it.
@@ -1468,7 +1395,7 @@ class Runtime {
     }
   }
 
-  void handle_snapshot_chunk(consensus::ProcessId from, codec::SnapshotChunk&& chunk) {
+  void handle_snapshot_chunk(codec::SnapshotChunk&& chunk) {
     if constexpr (storage::kHasSnapshot<P>) {
       if (!transfer_ || chunk.floor != transfer_->floor ||
           chunk.total_bytes != transfer_->total_bytes)
@@ -1491,29 +1418,20 @@ class Runtime {
       transfer_.reset();
 
       const std::int64_t t0 = obs::FlightRecorder::now_us();
-      entry_active_ = true;  // hold every send the install provokes
-      const bool installed = install_snapshot_payload(payload);
-      entry_active_ = false;
-      if (installed) {
-        if (engine_) {
-          // Persist BEFORE the held traffic leaves: restored promises must
-          // never be revealed and then lost to a crash.  Re-snapshotting
-          // our post-install state also compacts and re-offers in one step.
-          durable_.capture(*proc_, *wal_);
-          take_snapshot();
-        }
-        metrics_.counter("transfer.installed").add();
-        metrics_.counter("transfer.install_us")
-            .add(static_cast<std::uint64_t>(obs::FlightRecorder::now_us() - t0));
-        if constexpr (requires { proc_->compact_floor(); })
-          snapshot_floor_ =
-              std::max(snapshot_floor_, static_cast<std::int64_t>(proc_->compact_floor()));
-      } else {
+      // An entry like any other: the traffic the install provokes waits for
+      // the barrier that persists the restored promises.
+      bool installed = false;
+      with_wal({}, [&] { installed = install_snapshot_payload(payload); });
+      if (!installed) {
         metrics_.counter("transfer.install_failed").add();
+        return;
       }
-      flush_buffered_sends();
-      flush_held_replies();
-      (void)from;
+      // Re-snapshotting our post-install state also compacts and re-offers
+      // in one step.
+      take_snapshot();
+      metrics_.counter("transfer.installed").add();
+      metrics_.counter("transfer.install_us")
+          .add(static_cast<std::uint64_t>(obs::FlightRecorder::now_us() - t0));
     }
   }
 
@@ -1555,7 +1473,7 @@ class Runtime {
   /// One machine-readable status document (schema twostep-stats/1): node
   /// identity, live connectivity, the raw transport counters and the full
   /// metrics registry (counters + histogram quantiles).  Built on the loop
-  /// thread, for kStatsRequest scrapes and the periodic snapshot timer.
+  /// thread, for kStatsRequest scrapes.
   [[nodiscard]] std::string build_stats_json() {
     std::ostringstream os;
     std::int32_t config_version = 0;
@@ -1604,7 +1522,7 @@ class Runtime {
   obs::MetricsRegistry metrics_;
   obs::LogHistogram* serve_us_ = nullptr;        ///< client request -> reply latency
   obs::LogHistogram* deliver_us_ = nullptr;      ///< per-message protocol dispatch time
-  obs::LogHistogram* wal_sync_us_ = nullptr;     ///< capture+fsync per logged transition
+  obs::LogHistogram* wal_sync_us_ = nullptr;     ///< fsync per WAL barrier
   obs::LogHistogram* request_hop_us_ = nullptr;  ///< client -> node wire hop
   obs::FlightRecorder* flight_ = nullptr;        ///< null = tracing off
   obs::TraceContext out_ctx_;  ///< context of the entry scope running (loop thread)
@@ -1649,12 +1567,12 @@ class Runtime {
   std::optional<TransferState> transfer_;
   std::conditional_t<storage::kHasDurable<P>, storage::Durable<P>, storage::NullDurable> durable_;
   std::optional<transport::ChaosInjector> chaos_;
-  bool entry_active_ = false;  ///< inside with_wal: sends are being buffered
-  std::vector<std::pair<consensus::ProcessId, Message>> buffered_sends_;
-  std::vector<HeldSend> held_sends_;      ///< group commit: awaiting the barrier
-  std::vector<HeldReply> held_replies_;   ///< group commit: acks awaiting the barrier
-  std::uint64_t barrier_timer_ = 0;       ///< pending barrier timer (0 = none)
-  obs::LogHistogram* barrier_records_ = nullptr;  ///< records per barrier fsync
+  bool entry_active_ = false;            ///< inside with_wal: sends are held
+  std::vector<HeldSend> held_sends_;     ///< messages awaiting the barrier
+  std::vector<HeldReply> held_replies_;  ///< acks awaiting the barrier
+  std::uint64_t barrier_timer_ = 0;      ///< pending barrier timer (0 = none)
+  obs::Counter* barriers_ = nullptr;     ///< wal.barriers (storage on)
+  obs::LogHistogram* barrier_records_ = nullptr;  ///< records per barrier (group commit)
   std::atomic<int> inbound_count_{0};
 
   // --- membership & failover (loop thread, except the noted snapshots) ---

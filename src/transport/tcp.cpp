@@ -3,6 +3,8 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -74,6 +76,56 @@ int dial_nonblocking(const Endpoint& ep) {
     return -1;
   }
   return fd;
+}
+
+int dial_blocking(const Endpoint& ep, std::chrono::steady_clock::time_point deadline) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ep.port);
+  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
+    errno = EINVAL;
+    return -1;
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (fd < 0) return -1;
+  const auto fail = [fd](int err) {
+    ::close(fd);
+    errno = err;
+    return -1;
+  };
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (errno != EINPROGRESS) return fail(errno);
+    for (;;) {
+      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 deadline - std::chrono::steady_clock::now())
+                                 .count();
+      if (remaining <= 0) return fail(ETIMEDOUT);
+      pollfd pfd{fd, POLLOUT, 0};
+      const int ready = ::poll(&pfd, 1, static_cast<int>(remaining));
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready < 0) return fail(errno);
+      if (ready > 0) break;
+    }
+    int err = 0;
+    socklen_t len = sizeof(err);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return fail(errno);
+    if (err != 0) return fail(err);
+  }
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+bool send_all(int fd, std::span<const std::uint8_t> bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 // ---- Connection -----------------------------------------------------------

@@ -1,7 +1,8 @@
 // Framed non-blocking TCP on top of the EventLoop.
 //
 // Three pieces:
-//   - free helpers to bind a listener / start a non-blocking connect,
+//   - free helpers to bind a listener, start a non-blocking connect, and
+//     dial and write a blocking client socket,
 //   - Connection: one established socket speaking the wire.hpp framing,
 //     with buffered non-blocking writes (EPOLLOUT armed only while a
 //     backlog exists) and incremental reads through a FrameParser,
@@ -17,10 +18,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +52,18 @@ int bind_listener(Endpoint& ep);
 /// is usually still in progress (EINPROGRESS) — wait for EPOLLOUT and check
 /// SO_ERROR.  Throws std::system_error only on immediate local failure.
 int dial_nonblocking(const Endpoint& ep);
+
+/// Connects a blocking socket to `ep`, giving up at `deadline`: a
+/// nonblocking connect polled for writability, then switched to blocking
+/// mode, with TCP_NODELAY set.  A target that drops SYNs (full accept
+/// queue, blackhole) fails at the deadline instead of parking the caller
+/// in ::connect.  Returns the fd, or -1 with errno set (EINVAL for a bad
+/// address, ETIMEDOUT at the deadline, the connect error otherwise).
+int dial_blocking(const Endpoint& ep, std::chrono::steady_clock::time_point deadline);
+
+/// Writes all of `bytes` to the blocking socket `fd` (MSG_NOSIGNAL,
+/// retrying on EINTR).  False once the connection fails.
+bool send_all(int fd, std::span<const std::uint8_t> bytes);
 
 /// Relaxed-atomic transport counters, safe to read from any thread.
 struct TransportStats {

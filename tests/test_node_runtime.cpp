@@ -18,11 +18,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -453,6 +455,42 @@ TEST(LiveRuntime, RetriedCallKeepsTheOriginalRttClock) {
   cluster.stop();
 }
 
+TEST(LiveRuntime, ConnectGivesUpAtItsTimeoutWhenTheServerDropsSyns) {
+  // A listener with backlog 0 that never accepts: once a handshake fills
+  // its accept queue the kernel drops further SYNs, so a plain blocking
+  // ::connect to it hangs for the whole SYN retry schedule.  connect()
+  // must still give up at connect_timeout_ms.
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 0), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::vector<int> fillers;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    (void)::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // left pending
+    fillers.push_back(fd);
+  }
+
+  node::ClientOptions options;
+  options.connect_timeout_ms = 300;
+  node::ClientSession client(transport::Endpoint{"127.0.0.1", ntohs(addr.sin_port)}, nullptr,
+                             options);
+  auto connected = std::async(std::launch::async, [&] { return client.connect(); });
+  const std::future_status status = connected.wait_for(std::chrono::seconds(2));
+  // Closing the listener resets a connect still waiting on it, so even a
+  // hung connect() returns and the future can be joined.
+  ::close(listener);
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(status, std::future_status::ready) << "connect() ignored connect_timeout_ms";
+  EXPECT_FALSE(connected.get());
+}
+
 // ---- PR 6: the flight recorder end to end over real sockets --------------
 
 class TempDir {
@@ -538,14 +576,20 @@ TEST(LiveRuntime, BatchedPipelinedGroupCommitClusterServesOpenLoopLoad) {
   obs::MetricsRegistry merged = cluster.merged_metrics();
   EXPECT_GT(merged.log_histogram_snapshot("rsm.batch_fill").max, 1.0)
       << "no batch ever held more than one command";
-  EXPECT_GT(merged.counter_value("wal.barriers"), 0u);
+  EXPECT_GT(merged.log_histogram_snapshot("wal.barrier_records").max, 1.0)
+      << "no barrier synced more than one record";
 }
 
-TEST(LiveTrace, OneClientCommandYieldsACausallyLinkedTreeAcrossProcesses) {
-  // The tentpole acceptance criterion: a single traced client command on a
-  // storage-backed 3-replica cluster produces spans from >= 3 processes,
-  // every span's parent resolves inside the trace, and a WAL-fsync span is
-  // among them.
+/// One traced client command through replica 0 of a storage-backed
+/// 3-replica RSM cluster, with the barrier run at the end of each entry
+/// (group_commit_us = 0): the client's root span, then every span of its
+/// trace, each tagged with its process ("client", "node-<i>").
+struct TracedCommand {
+  obs::SpanRecord root;
+  std::vector<std::pair<std::string, obs::SpanRecord>> spans;
+};
+
+void run_traced_command(TracedCommand& run) {
   const consensus::SystemConfig config(3, 1, 1);
   TempDir tmp;
   node::ClusterOptions cluster_options;
@@ -576,38 +620,75 @@ TEST(LiveTrace, OneClientCommandYieldsACausallyLinkedTreeAcrossProcesses) {
 
   const auto client_spans = client_flight.spans();
   ASSERT_EQ(client_spans.size(), 1u);
-  const obs::SpanRecord root = client_spans.front();
-  EXPECT_STREQ(root.name, "client.call");
-  EXPECT_EQ(root.parent_span, 0u);
-  ASSERT_NE(root.trace_id, 0u);
-
-  // Pool every span of this trace, tagged with its process.
-  std::vector<std::pair<std::string, obs::SpanRecord>> spans = {{"client", root}};
+  run.root = client_spans.front();
+  EXPECT_STREQ(run.root.name, "client.call");
+  EXPECT_EQ(run.root.parent_span, 0u);
+  ASSERT_NE(run.root.trace_id, 0u);
+  run.spans = {{"client", run.root}};
   for (int p = 0; p < config.n; ++p) {
     obs::FlightRecorder* rec = cluster.flight(p);
     ASSERT_NE(rec, nullptr);
     for (const obs::SpanRecord& s : rec->spans())
-      if (s.trace_id == root.trace_id) spans.emplace_back("node-" + std::to_string(p), s);
+      if (s.trace_id == run.root.trace_id) run.spans.emplace_back("node-" + std::to_string(p), s);
   }
+}
 
+TEST(LiveTrace, OneClientCommandYieldsACausallyLinkedTreeAcrossProcesses) {
+  // The tentpole acceptance criterion: a single traced client command on a
+  // storage-backed 3-replica cluster produces spans from >= 3 processes,
+  // every span's parent resolves inside the trace, and a WAL-fsync span is
+  // among them.
+  TracedCommand run;
+  ASSERT_NO_FATAL_FAILURE(run_traced_command(run));
   std::set<std::string> processes;
   std::set<std::uint64_t> ids;
   bool saw_fsync = false, saw_child_of_root = false;
-  for (const auto& [process, s] : spans) {
+  for (const auto& [process, s] : run.spans) {
     processes.insert(process);
     ids.insert(s.span_id);
     if (std::strcmp(s.name, "wal.fsync") == 0) saw_fsync = true;
-    if (s.parent_span == root.span_id) saw_child_of_root = true;
+    if (s.parent_span == run.root.span_id) saw_child_of_root = true;
   }
   EXPECT_GE(processes.size(), 3u) << "spans from too few processes";
   EXPECT_TRUE(saw_fsync);
   EXPECT_TRUE(saw_child_of_root) << "no server span hangs off the client's root";
   // Causal linkage: every non-root parent resolves to a recorded span.
-  for (const auto& [process, s] : spans) {
+  for (const auto& [process, s] : run.spans) {
     if (s.parent_span == 0) continue;
     EXPECT_TRUE(ids.contains(s.parent_span))
         << process << "/" << s.name << " has a dangling parent";
   }
+}
+
+TEST(LiveTrace, PerEntryBarrierHoldsTheReplyUntilItsEntrysFsync) {
+  // Persist-before-ack with the barrier run per entry: the reply leaves
+  // (and the proxy's "serve" span ends) inside the handling of some
+  // message, and only after that entry's WAL sync.  So on node 0, "serve"
+  // ends no earlier than every wal.fsync span of the message span it ended
+  // in.
+  TracedCommand run;
+  ASSERT_NO_FATAL_FAILURE(run_traced_command(run));
+  std::vector<obs::SpanRecord> node0;
+  for (const auto& [process, s] : run.spans)
+    if (process == "node-0") node0.push_back(s);
+  const auto end_of = [](const obs::SpanRecord& s) { return s.start_us + s.dur_us; };
+  const auto serve = std::find_if(node0.begin(), node0.end(),
+                                  [](const auto& s) { return std::strcmp(s.name, "serve") == 0; });
+  ASSERT_NE(serve, node0.end()) << "no serve span on the proxy";
+  const std::int64_t serve_end = end_of(*serve);
+  // Message spans on one loop thread never overlap: at most one holds it.
+  const auto entry = std::find_if(node0.begin(), node0.end(), [&](const auto& s) {
+    return std::strcmp(s.name, "serve") != 0 && std::strcmp(s.name, "wal.fsync") != 0 &&
+           s.start_us <= serve_end && serve_end <= end_of(s);
+  });
+  ASSERT_NE(entry, node0.end()) << "serve did not end inside a message span";
+  int fsyncs = 0;
+  for (const obs::SpanRecord& s : node0) {
+    if (std::strcmp(s.name, "wal.fsync") != 0 || s.parent_span != entry->span_id) continue;
+    ++fsyncs;
+    EXPECT_GE(serve_end, end_of(s)) << "the reply left before its entry's WAL sync";
+  }
+  EXPECT_GT(fsyncs, 0) << "the " << entry->name << " entry that answered synced nothing";
 }
 
 TEST(LiveStats, StatsRequestFrameScrapesARunningNode) {

@@ -10,10 +10,6 @@
 // operand or value the table does not allow with exit 1 and the command's
 // usage text, generated from the table; `twostep_cli <command> --help`
 // shows it that way.
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -1606,77 +1602,13 @@ int cmd_tracemerge(const Args& args) {
   return 0;
 }
 
-/// Deadline-bounded dial shared by the admin verbs (stats / join / leave):
-/// nonblocking connect + poll, restored to blocking mode on success so the
-/// caller's poll/recv loop reads as before.  A hung or blackholed target
-/// fails within the deadline instead of parking in a blocking ::connect.
-/// Returns the fd, or -1 after printing a `who`-prefixed diagnosis.
-int dial_deadline(const char* who, const transport::Endpoint& ep,
-                  std::chrono::steady_clock::time_point deadline) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    std::fprintf(stderr, "%s: bad address %s\n", who, ep.host.c_str());
-    return -1;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "%s: socket: %s\n", who, std::strerror(errno));
-    return -1;
-  }
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "%s: %s %s: %s\n", who, what, ep.to_string().c_str(),
-                 std::strerror(errno));
-    ::close(fd);
-    return -1;
-  };
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) return fail("could not connect to");
-    for (;;) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                 deadline - std::chrono::steady_clock::now())
-                                 .count();
-      if (remaining <= 0) {
-        errno = ETIMEDOUT;
-        return fail("timed out connecting to");
-      }
-      pollfd pfd{fd, POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1, static_cast<int>(remaining));
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready < 0) return fail("could not connect to");
-      if (ready == 0) {
-        errno = ETIMEDOUT;
-        return fail("timed out connecting to");
-      }
-      break;
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      if (err != 0) errno = err;
-      return fail("could not connect to");
-    }
-  }
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 /// Sends one frame, then pumps replies into `consume` until it returns
 /// true, the deadline passes, or the connection dies.  Returns whether
 /// `consume` accepted a frame.  The caller owns (and closes) the fd.
 template <typename Consume>
 bool send_and_await(int fd, const std::vector<std::uint8_t>& frame,
                     std::chrono::steady_clock::time_point deadline, Consume&& consume) {
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t w = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    sent += static_cast<std::size_t>(w);
-  }
+  if (!transport::send_all(fd, frame)) return false;
   transport::FrameParser parser;
   std::uint8_t buf[65536];
   for (;;) {
@@ -1713,8 +1645,12 @@ int cmd_stats(const Args& args) {
   const long timeout_ms = args.get_int("timeout-ms", 5'000);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  const int fd = dial_deadline("stats", *ep, deadline);
-  if (fd < 0) return 1;
+  const int fd = transport::dial_blocking(*ep, deadline);
+  if (fd < 0) {
+    std::fprintf(stderr, "stats: could not connect to %s: %s\n", ep->to_string().c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
 
   const std::vector<std::uint8_t> frame = transport::make_frame(
       transport::FrameKind::kStatsRequest, codec::encode(codec::StatsRequest{1}));
@@ -1752,8 +1688,12 @@ int run_config_change(const char* who, const rsm::ConfigChange& change, const Ar
   const long timeout_ms = args.get_int("timeout-ms", 10'000);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  const int fd = dial_deadline(who, *ep, deadline);
-  if (fd < 0) return 1;
+  const int fd = transport::dial_blocking(*ep, deadline);
+  if (fd < 0) {
+    std::fprintf(stderr, "%s: could not connect to %s: %s\n", who, ep->to_string().c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
 
   const std::int64_t id = 1;  // one command per connection; any nonzero id correlates
   const std::vector<std::uint8_t> frame = transport::make_frame(
