@@ -1,5 +1,6 @@
 #include "core/two_step.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,16 @@ using consensus::Ballot;
 using consensus::ProcessId;
 using consensus::TimerId;
 using consensus::Value;
+
+namespace {
+
+/// Adds q to the sorted vector `set` unless it is there already.
+void insert_sorted(std::vector<ProcessId>& set, ProcessId q) {
+  const auto it = std::ranges::lower_bound(set, q);
+  if (it == set.end() || *it != q) set.insert(it, q);
+}
+
+}  // namespace
 
 TwoStepProcess::TwoStepProcess(consensus::Env<Message>& env, consensus::SystemConfig config,
                                Options options)
@@ -49,6 +60,36 @@ void TwoStepProcess::restore(const AcceptorState& s) {
   // the pre-crash incarnation (or the broadcast is covered by the durable
   // votes of the deciding quorum).
   decide_notified_ = !decided_.is_bottom();
+}
+
+void TwoStepProcess::copy_state_from(const TwoStepProcess& other) {
+  initial_val_ = other.initial_val_;
+  val_ = other.val_;
+  decided_ = other.decided_;
+  bal_ = other.bal_;
+  vbal_ = other.vbal_;
+  proposer_ = other.proposer_;
+  fast_voters_ = other.fast_voters_;
+  led_ = other.led_;
+  proposed_at_ = other.proposed_at_;
+  started_ = other.started_;
+  decide_notified_ = other.decide_notified_;
+}
+
+TwoStepProcess::LedBallot* TwoStepProcess::find_led(Ballot b) {
+  const auto it = std::ranges::lower_bound(led_, b, {}, &LedBallot::ballot);
+  return it != led_.end() && it->ballot == b ? &*it : nullptr;
+}
+
+TwoStepProcess::LedBallot& TwoStepProcess::led_ballot(Ballot b) {
+  const auto it = std::ranges::lower_bound(led_, b, {}, &LedBallot::ballot);
+  if (it != led_.end() && it->ballot == b) return *it;
+  LedBallot& added = *led_.insert(it, LedBallot{});
+  added.ballot = b;
+  // At most one 1B and one 2B from each process.
+  added.onebs.reserve(static_cast<std::size_t>(config_.n));
+  added.twobs.reserve(static_cast<std::size_t>(config_.n));
+  return added;
 }
 
 void TwoStepProcess::propose(Value v) {
@@ -128,15 +169,15 @@ void TwoStepProcess::handle(ProcessId from, const TwoBMsg& m) {
   if (m.b == 0) {
     // A fast-path vote for our own proposal.
     if (initial_val_.is_bottom() || m.v != initial_val_) return;
-    fast_voters_.insert(from);
+    insert_sorted(fast_voters_, from);
     maybe_decide_fast();
     return;
   }
   // Slow-path vote for a ballot we lead (line 8, second disjunct).
-  const auto it = led_.find(m.b);
-  if (it == led_.end() || !it->second.sent_two_a || m.v != it->second.two_a_value) return;
-  it->second.twobs.insert(from);
-  if (static_cast<int>(it->second.twobs.size()) >= config_.classic_quorum())
+  LedBallot* const led = find_led(m.b);
+  if (led == nullptr || !led->sent_two_a || m.v != led->two_a_value) return;
+  insert_sorted(led->twobs, from);
+  if (static_cast<int>(led->twobs.size()) >= config_.classic_quorum())
     decide(m.v, DecideKind::kSlow);
 }
 
@@ -158,64 +199,65 @@ void TwoStepProcess::handle(ProcessId from, const OneAMsg& m) {
 void TwoStepProcess::handle(ProcessId from, const OneBMsg& m) {
   // Only the owner of ballot b aggregates its 1Bs.
   if (m.b <= 0 || m.b % config_.n != static_cast<Ballot>(env_.self())) return;
-  auto& led = led_[m.b];
-  if (!led.onebs.contains(from)) {
-    led.onebs.emplace(from, m);
-    led.arrival.push_back(from);
-  }
-  maybe_send_two_a(m.b);
+  LedBallot& led = led_ballot(m.b);
+  if (std::ranges::none_of(led.onebs, [from](const auto& e) { return e.first == from; }))
+    led.onebs.emplace_back(from, m);
+  maybe_send_two_a(led);
 }
 
-void TwoStepProcess::maybe_send_two_a(Ballot b) {
-  auto& led = led_[b];
+void TwoStepProcess::maybe_send_two_a(LedBallot& led) {
+  // `led` is used only before the first env_ call below.
   if (led.sent_two_a) return;
   const int quorum = config_.classic_quorum();
-  if (static_cast<int>(led.arrival.size()) < quorum) return;
+  if (static_cast<int>(led.onebs.size()) < quorum) return;
+  const Ballot b = led.ballot;
 
   SelectionInput in;
   in.config = config_;
   in.own_initial = initial_val_;
   in.policy = options_.selection_policy;
+  const auto peer = [](const std::pair<ProcessId, OneBMsg>& e) {
+    const OneBMsg& ob = e.second;
+    return PeerState{e.first, ob.vbal, ob.val, ob.proposer, ob.decided, ob.initial};
+  };
 
+  // The exact quorum's verdict, then the completion's.
+  SelectionResult verdicts[2];
+  int ran = 0;
   if (!led.exhausted_fast_path) {
     // The paper's rule is stated for |Q| = n - f exactly; the uniqueness
     // argument of Lemma 7 / C.2 relies on it.  Use the first n - f arrivals.
     in.peers.reserve(static_cast<std::size_t>(quorum));
-    for (int i = 0; i < quorum; ++i) {
-      const ProcessId q = led.arrival[static_cast<std::size_t>(i)];
-      const OneBMsg& ob = led.onebs.at(q);
-      in.peers.push_back(PeerState{q, ob.vbal, ob.val, ob.proposer, ob.decided, ob.initial});
-    }
-    const SelectionResult res = select_value(in);
-    note_selection(b, res);
-    if (res.branch != SelectionBranch::kNone) {
-      led.sent_two_a = true;
-      led.two_a_value = res.value;
-      TWOSTEP_LOG(kDebug) << "p" << env_.self() << " 2A(" << b << ", "
-                          << res.value.to_string() << ") branch "
-                          << static_cast<int>(res.branch);
-      env_.broadcast_all(TwoAMsg{b, res.value});
-      return;
-    }
+    for (int i = 0; i < quorum; ++i)
+      in.peers.push_back(peer(led.onebs[static_cast<std::size_t>(i)]));
+    verdicts[ran++] = select_value(in);
     // Nothing to propose: the exact quorum was entirely voteless (and we
     // never proposed).  Since those n - f processes are now locked out of
     // ballot 0 and of every ballot < b, no decision can exist or ever arise
     // at a ballot < b; adopting *any* vote seen in later 1Bs is safe.  This
     // keeps a leader that never proposed from stalling pending propose()
     // invocations of processes outside the quorum (wait-freedom).
-    led.exhausted_fast_path = true;
+    led.exhausted_fast_path = verdicts[0].branch == SelectionBranch::kNone;
+  }
+  if (led.exhausted_fast_path) {
+    // Completion: re-run the rule over everything received so far, in
+    // sender order.
+    in.peers.clear();
+    in.peers.reserve(led.onebs.size());
+    for (const auto& e : led.onebs) in.peers.push_back(peer(e));
+    std::ranges::sort(in.peers, {}, &PeerState::q);
+    verdicts[ran++] = select_value(in);
+  }
+  const SelectionResult res = verdicts[ran - 1];
+  if (res.branch != SelectionBranch::kNone) {
+    led.sent_two_a = true;
+    led.two_a_value = res.value;
   }
 
-  // Completion: re-run the rule over everything received so far.
-  in.peers.clear();
-  in.peers.reserve(led.onebs.size());
-  for (const auto& [q, ob] : led.onebs)
-    in.peers.push_back(PeerState{q, ob.vbal, ob.val, ob.proposer, ob.decided, ob.initial});
-  const SelectionResult res = select_value(in);
-  note_selection(b, res);
+  for (int i = 0; i < ran; ++i) note_selection(b, verdicts[i]);
   if (res.branch == SelectionBranch::kNone) return;  // still nothing; keep waiting
-  led.sent_two_a = true;
-  led.two_a_value = res.value;
+  TWOSTEP_LOG(kDebug) << "p" << env_.self() << " 2A(" << b << ", " << res.value.to_string()
+                      << ") branch " << static_cast<int>(res.branch);
   env_.broadcast_all(TwoAMsg{b, res.value});
 }
 

@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <type_traits>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "consensus/env.hpp"
 #include "consensus/types.hpp"
@@ -149,12 +149,12 @@ class TwoStepProcess {
     h(fast_voters_.size());
     for (const consensus::ProcessId q : fast_voters_) h(static_cast<std::uint64_t>(q));
     h(led_.size());
-    for (const auto& [b, led] : led_) {
-      h(static_cast<std::uint64_t>(b));
-      h(led.arrival.size());
-      for (const consensus::ProcessId q : led.arrival) {
+    for (const LedBallot& led : led_) {
+      h(static_cast<std::uint64_t>(led.ballot));
+      h(led.onebs.size());
+      for (const auto& [q, oneb] : led.onebs) {
         h(static_cast<std::uint64_t>(q));
-        digest(h, led.onebs.at(q));
+        digest(h, oneb);
       }
       h(led.sent_two_a);
       h(led.exhausted_fast_path);
@@ -165,6 +165,11 @@ class TwoStepProcess {
     h(started_);
     h(decide_notified_);
   }
+
+  /// Copies `other`'s complete state: the fields the digest hook covers and
+  /// proposed_at_.  Keeps this process's Env, options, metric handles and
+  /// on_decide.  For the model checker's DirectDrive::restore_from.
+  void copy_state_from(const TwoStepProcess& other);
 
   /// Feeds one message's content to `h`.
   template <typename H>
@@ -222,9 +227,11 @@ class TwoStepProcess {
   /// own vote does not conflict with our proposal.
   void maybe_decide_fast();
 
-  /// Runs the selection rule for ballot b (which we lead) and sends 2A if a
-  /// value is determined.  Called as 1Bs accumulate.
-  void maybe_send_two_a(consensus::Ballot b);
+  struct LedBallot;
+
+  /// Runs the selection rule for a ballot we lead and sends 2A if a value
+  /// is determined.  Called as 1Bs accumulate.
+  void maybe_send_two_a(LedBallot& led);
 
   /// Records the decision, notifies on_decide, broadcasts Decide (except
   /// when merely learning one).
@@ -250,13 +257,14 @@ class TwoStepProcess {
   consensus::Ballot vbal_ = 0;                            // 𝗏𝖻𝖺𝗅
   consensus::ProcessId proposer_ = consensus::kNoProcess; // 𝗉𝗋𝗈𝗉𝗈𝗌𝖾𝗋
 
-  // Fast-path bookkeeping: who voted for our proposal at ballot 0.
-  std::set<consensus::ProcessId> fast_voters_;
+  // Fast-path bookkeeping: who voted for our proposal at ballot 0, sorted.
+  std::vector<consensus::ProcessId> fast_voters_;
 
   // Slow-path bookkeeping for ballots we lead.
   struct LedBallot {
-    std::map<consensus::ProcessId, OneBMsg> onebs;  // arrival order irrelevant
-    std::vector<consensus::ProcessId> arrival;      // first n-f = the quorum Q
+    consensus::Ballot ballot = 0;
+    /// One 1B per sender, in arrival order: the first n-f are the quorum Q.
+    std::vector<std::pair<consensus::ProcessId, OneBMsg>> onebs;
     bool sent_two_a = false;
     /// Set once the first exact-(n-f) evaluation returned "nothing to
     /// propose": from then on no fast decision can ever occur (n-f voteless
@@ -264,9 +272,16 @@ class TwoStepProcess {
     /// adopted directly.
     bool exhausted_fast_path = false;
     consensus::Value two_a_value;
-    std::set<consensus::ProcessId> twobs;  // votes for (b, two_a_value)
+    std::vector<consensus::ProcessId> twobs;  // votes for (b, two_a_value), sorted
   };
-  std::map<consensus::Ballot, LedBallot> led_;
+  /// Sorted by ballot.  A send can re-enter the process and insert into it,
+  /// so no reference into it is held across an env_ call.
+  std::vector<LedBallot> led_;
+
+  /// The ballot b we lead, or null if it has no bookkeeping yet.
+  [[nodiscard]] LedBallot* find_led(consensus::Ballot b);
+  /// The ballot b we lead, its bookkeeping added if new.
+  LedBallot& led_ballot(consensus::Ballot b);
 
   // Metric handles, resolved once at construction (null when metrics are
   // off): the hot paths pay one pointer test, never a registry lookup.

@@ -15,7 +15,12 @@
 //   template <typename H> static void digest(H& h, const Message& m);
 // The state hook must cover everything that can influence the process's
 // future behaviour; a field it leaves out lets the table merge states that
-// later diverge.
+// later diverge.  The explorer and the fuzzer also need the copy hook of
+// DirectDrive::restore_from,
+//   void copy_state_from(const P& other);
+// which must copy the same fields as the state hook, plus fields that only
+// feed metrics: a field the copy leaves out carries over from an earlier
+// schedule into a restored drive.
 #pragma once
 
 #include <algorithm>

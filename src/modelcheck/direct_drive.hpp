@@ -14,6 +14,14 @@
 // the middle of a step (after the local transition, before the sends reach
 // the network) — the proofs' "decides and immediately fails" events need
 // this.
+//
+// restore_from(other) makes a drive the same state as another drive built
+// from the same config, without running the factory again: the model
+// checker builds its post-setup state once and restores it for every node
+// and every fuzz trace.  It needs the process hook
+//   void copy_state_from(const P& other);
+// whose contract modelcheck/digest.hpp states beside the digest hook; it
+// keeps the process's own Env binding and on_decide.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +55,7 @@ class DirectDrive {
     if (!factory) throw std::invalid_argument("DirectDrive: null factory");
     crashed_.assign(static_cast<std::size_t>(config_.n), false);
     armed_.assign(static_cast<std::size_t>(config_.n), 0);
+    up_ = config_.n;
     envs_.reserve(static_cast<std::size_t>(config_.n));
     for (consensus::ProcessId p = 0; p < config_.n; ++p)
       envs_.push_back(std::make_unique<DriveEnv>(*this, p));
@@ -60,15 +69,44 @@ class DirectDrive {
 
   [[nodiscard]] const consensus::SystemConfig& config() const noexcept { return config_; }
   [[nodiscard]] P& process(consensus::ProcessId p) {
-    return *processes_.at(static_cast<std::size_t>(p));
+    return *processes_[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] const P& process(consensus::ProcessId p) const {
-    return *processes_.at(static_cast<std::size_t>(p));
+    return *processes_[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] consensus::ConsensusMonitor& monitor() noexcept { return monitor_; }
   [[nodiscard]] const consensus::ConsensusMonitor& monitor() const noexcept { return monitor_; }
   [[nodiscard]] bool crashed(consensus::ProcessId p) const {
-    return crashed_.at(static_cast<std::size_t>(p));
+    return crashed_[static_cast<std::size_t>(p)] != 0;
+  }
+  /// Processes not crashed.
+  [[nodiscard]] int up() const noexcept { return up_; }
+  /// Processes not crashed that have an armed timer.
+  [[nodiscard]] int timers_ready() const noexcept { return ready_; }
+
+  /// Makes this drive the state of `other`, a drive with the same config:
+  /// its pool, timers, monitor, crash flags, fault counts, and seq, TimerId
+  /// and step counters, so the two go on to name messages and timers alike.
+  /// Every process copies its state through copy_state_from.  The vectors
+  /// keep their capacity.
+  void restore_from(const DirectDrive& other) {
+    if (other.config_.n != config_.n)
+      throw std::invalid_argument("DirectDrive: restore from a drive of another size");
+    monitor_ = other.monitor_;
+    for (std::size_t i = 0; i < processes_.size(); ++i)
+      processes_[i]->copy_state_from(*other.processes_[i]);
+    crashed_ = other.crashed_;
+    pool_ = other.pool_;
+    timers_ = other.timers_;
+    armed_ = other.armed_;
+    up_ = other.up_;
+    ready_ = other.ready_;
+    next_seq_ = other.next_seq_;
+    next_timer_ = other.next_timer_;
+    step_ = other.step_;
+    injected_drops_ = other.injected_drops_;
+    injected_dups_ = other.injected_dups_;
+    injected_partitions_ = other.injected_partitions_;
   }
 
   /// Starts every non-crashed process (arming its timers).
@@ -83,7 +121,12 @@ class DirectDrive {
   }
 
   void crash(consensus::ProcessId p) {
-    crashed_.at(static_cast<std::size_t>(p)) = true;
+    auto& down = crashed_.at(static_cast<std::size_t>(p));
+    if (!down) {
+      down = true;
+      --up_;
+      if (armed_timers(p) > 0) --ready_;
+    }
     monitor_.note_crash(p, step_);
   }
 
@@ -189,7 +232,7 @@ class DirectDrive {
 
   /// Number of armed timers at p.
   [[nodiscard]] int armed_timers(consensus::ProcessId p) const {
-    return armed_.at(static_cast<std::size_t>(p));
+    return armed_[static_cast<std::size_t>(p)];
   }
 
   /// Fires p's oldest armed timer.  Returns false if p has none or crashed.
@@ -198,7 +241,7 @@ class DirectDrive {
       if (timers_[i].owner != p) continue;
       const consensus::TimerId id = timers_[i].id;
       timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-      --armed_[static_cast<std::size_t>(p)];
+      disarm(p);
       ++step_;
       if (crashed(p)) return false;
       process(p).on_timer(id);
@@ -215,6 +258,13 @@ class DirectDrive {
     consensus::ProcessId owner;
     consensus::TimerId id;
   };
+
+  void arm(consensus::ProcessId p) {
+    if (armed_[static_cast<std::size_t>(p)]++ == 0 && !crashed(p)) ++ready_;
+  }
+  void disarm(consensus::ProcessId p) {
+    if (--armed_[static_cast<std::size_t>(p)] == 0 && !crashed(p)) --ready_;
+  }
 
   class DriveEnv final : public consensus::Env<Msg> {
    public:
@@ -234,14 +284,14 @@ class DirectDrive {
     consensus::TimerId set_timer(sim::Tick) override {
       const consensus::TimerId id{drive_.next_timer_++};
       drive_.timers_.push_back(ArmedTimer{self_, id});
-      ++drive_.armed_[static_cast<std::size_t>(self_)];
+      drive_.arm(self_);
       return id;
     }
 
     void cancel_timer(consensus::TimerId id) override {
       std::erase_if(drive_.timers_, [&](const ArmedTimer& t) {
         if (t.id != id) return false;
-        --drive_.armed_[static_cast<std::size_t>(t.owner)];
+        drive_.disarm(t.owner);
         return true;
       });
     }
@@ -259,6 +309,8 @@ class DirectDrive {
   std::vector<Pending> pool_;
   std::vector<ArmedTimer> timers_;
   std::vector<int> armed_;  ///< per-process count of timers_ entries
+  int up_ = 0;               ///< processes not crashed
+  int ready_ = 0;            ///< processes not crashed with armed_ > 0
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_timer_ = 1;
   sim::Tick step_ = 0;

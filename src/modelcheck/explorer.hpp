@@ -3,13 +3,17 @@
 // A protocol state is a deterministic function of the *schedule*: the
 // sequence of adversary choices (deliver pending message i / fire a timer /
 // crash a process / inject a link fault).  The explorer searches schedules
-// depth-first and rebuilds every state it visits by replaying its schedule on
-// a fresh drive, so no process is ever copied; at each visited state it
-// checks the safety monitors and the scenario's invariant.  A visited-state
-// table, keyed by the state's digest (modelcheck/digest.hpp), keeps it from
-// expanding one state once per schedule that reaches it.  The fuzzer
-// samples random schedules instead, which scales to configurations the
-// exhaustive search cannot cover.  Both report the first
+// depth-first.  It builds the post-setup drive once per search and reaches
+// every state it visits by restoring one working drive to that snapshot
+// (DirectDrive::restore_from, which copies each process through its
+// copy_state_from hook) and replaying the state's schedule; at each visited
+// state it checks the safety monitors and the scenario's invariant.  A
+// visited-state table, keyed by the state's digest (modelcheck/digest.hpp),
+// keeps it from expanding one state once per schedule that reaches it.
+// Restored and freshly built drives name messages and timers alike, so
+// neither the sleep sets nor any result depends on which one ran.  The
+// fuzzer samples random schedules instead, which scales to configurations
+// the exhaustive search cannot cover.  Both report the first
 // Agreement/Validity/Integrity or invariant violation found, together with
 // the offending schedule, so failures are replayable.
 //
@@ -52,11 +56,13 @@
 // freed when the search returns.
 //
 // The fuzzer shards its trace budget into fixed-size chunks and runs the
-// chunks on an exec::ThreadPool.  Each chunk draws from a private RNG
-// seeded by splitmix64(seed, chunk_index), chunks strictly before the first
-// violating chunk always run to completion, and results are reduced in
-// chunk-index order — so the returned ExploreResult (including the
-// violating schedule) is byte-identical for any `jobs` value.
+// chunks on an exec::ThreadPool.  A chunk builds the post-setup drive once
+// and restores one working drive from it for every trace.  Each chunk draws
+// from a private RNG seeded by splitmix64(seed, chunk_index), chunks
+// strictly before the first violating chunk always run to completion, and
+// results are reduced in chunk-index order — so the returned ExploreResult
+// (including the violating schedule) is byte-identical for any `jobs`
+// value.
 #pragma once
 
 #include <algorithm>
@@ -84,7 +90,9 @@ struct Scenario {
   consensus::SystemConfig config;
   typename DirectDrive<P>::Factory factory;
 
-  /// Applied to every fresh drive: initial crashes, start_all, proposals.
+  /// Applied to a freshly built drive: initial crashes, start_all,
+  /// proposals.  A search or fuzz shard applies it once and restores the
+  /// resulting drive for every node or trace.
   std::function<void(DirectDrive<P>&)> setup;
 
   /// Processes the explorer may additionally crash mid-run...
@@ -141,6 +149,9 @@ class Explorer {
   /// enabled action asleep, or at a state the table already covers.
   static ExploreResult explore(const Scenario<P>& scenario, long max_traces = 20000) {
     ExploreResult result;
+    const auto root = make_drive(scenario);
+    const Baseline base = baseline(scenario, *root);
+    Drive drive(scenario.config, scenario.factory);
     std::vector<int> schedule;  // the path to the node at `depth`
     // frames[d] is the path's node at depth d.  Frames are reused, so their
     // vectors keep their capacity for the whole search.
@@ -156,11 +167,10 @@ class Explorer {
       if (fresh) {
         fresh = false;
         if (result.traces >= max_traces) return result;  // budget: not exhausted
-        auto drive = make_drive(scenario);
-        const int baseline = setup_crashes(scenario, *drive);
-        for (const int action : schedule) apply(scenario, *drive, baseline, action);
+        drive.restore_from(*root);
+        for (const int action : schedule) apply(scenario, drive, base, action);
         result.steps += static_cast<long>(schedule.size());
-        if (auto what = violation(scenario, *drive)) {
+        if (auto what = violation(scenario, drive)) {
           ++result.traces;  // the violating schedule counts as examined
           result.violation = true;
           result.what = std::move(*what);
@@ -171,15 +181,15 @@ class Explorer {
         frame.next = 0;
         const int left = scenario.max_depth - static_cast<int>(depth);
         if (left > 0) {
-          const Digest key = state_digest(*drive, pending);
+          const Digest key = state_digest(drive, pending);
           names.clear();
           for (const Action& b : frame.sleep) names.push_back(b.name);
           std::sort(names.begin(), names.end());
           names.erase(std::unique(names.begin(), names.end()), names.end());
           if (table.expand(key, left, names)) {
-            const Counts counts = count_actions(scenario, *drive, baseline);
+            const Counts counts = count_actions(scenario, drive, base);
             for (int a = 0; a < counts.total(); ++a) {
-              Action action = decode(scenario, *drive, counts, a);
+              Action action = decode(scenario, drive, counts, a);
               action.name = name(action, pending);
               if (!asleep(frame.sleep, action)) frame.todo.push_back(action);
             }
@@ -261,16 +271,15 @@ class Explorer {
   static std::unique_ptr<Drive> replay_schedule(const Scenario<P>& scenario,
                                                 const std::vector<int>& schedule) {
     auto drive = make_drive(scenario);
-    const int baseline = setup_crashes(scenario, *drive);
+    const Baseline base = baseline(scenario, *drive);
     for (const int action : schedule) {
-      apply(scenario, *drive, baseline, action);
+      apply(scenario, *drive, base, action);
       if (!drive->monitor().safe()) break;
     }
     return drive;
   }
 
- private:
-  /// Action space at a state, in index order:
+  /// The action space at a state is these ranges, in index order:
   ///   [0, pool)                     deliver pending message i
   ///   [pool, pool+T)                fire the oldest timer of the j-th
   ///                                 process that has armed timers
@@ -279,9 +288,7 @@ class Explorer {
   ///   [.., +U)                      duplicate pending message i
   ///   [.., +Q)                      momentary partition of the j-th
   ///                                 non-crashed process
-  enum class Kind : std::uint8_t { kDeliver, kTimer, kCrash, kDrop, kDuplicate, kPartition };
-
-  /// The size of each range.
+  /// Counts holds the size of each.
   struct Counts {
     int deliveries = 0;
     int timers = 0;
@@ -292,7 +299,51 @@ class Explorer {
     [[nodiscard]] int total() const {
       return deliveries + timers + crashes + drops + duplicates + partitions;
     }
+    friend bool operator==(const Counts&, const Counts&) = default;
   };
+
+  /// The post-setup state's part in the action counts.
+  struct Baseline {
+    int up = 0;            ///< processes not crashed
+    int may_crash_up = 0;  ///< members of may_crash not crashed
+  };
+
+  /// The Baseline of a post-setup drive.  Throws std::invalid_argument when
+  /// may_crash names a process twice or a process outside the config.
+  static Baseline baseline(const Scenario<P>& scenario, const Drive& drive) {
+    Baseline base{drive.up(), 0};
+    std::vector<bool> listed(static_cast<std::size_t>(drive.config().n), false);
+    for (const consensus::ProcessId p : scenario.may_crash) {
+      if (p < 0 || p >= drive.config().n || listed[static_cast<std::size_t>(p)])
+        throw std::invalid_argument("Scenario: may_crash must list distinct processes");
+      listed[static_cast<std::size_t>(p)] = true;
+      if (!drive.crashed(p)) ++base.may_crash_up;
+    }
+    return base;
+  }
+
+  /// The action counts at a drive whose post-setup state had `base`, in
+  /// O(1): every crash after setup is one of the explorer's, of a member of
+  /// may_crash, and only those count against the crash budget.
+  static Counts count_actions(const Scenario<P>& scenario, const Drive& drive,
+                              const Baseline& base) {
+    Counts c;
+    const int pool = static_cast<int>(drive.pool().size());
+    c.deliveries = pool;
+    if (scenario.explore_timers) c.timers = drive.timers_ready();
+    const int explorer_crashed = base.up - drive.up();
+    if (explorer_crashed < scenario.crash_budget) c.crashes = base.may_crash_up - explorer_crashed;
+    if (drive.injected_drops() < scenario.faults.drops) c.drops = pool;
+    if (drive.injected_duplicates() < scenario.faults.duplicates) c.duplicates = pool;
+    // Partitioning an empty pool would be a no-op.
+    if (drive.injected_partitions() < scenario.faults.partitions && pool > 0)
+      c.partitions = drive.up();
+    return c;
+  }
+
+ private:
+  /// The kind of an action: one per range of Counts, in index order.
+  enum class Kind : std::uint8_t { kDeliver, kTimer, kCrash, kDrop, kDuplicate, kPartition };
 
   /// One enabled action, decoded from its index at one state.
   struct Action {
@@ -399,13 +450,6 @@ class Explorer {
     return drive;
   }
 
-  /// Members of may_crash that `setup` already crashed.  The crash budget is
-  /// "on top of crashes done by setup", so this baseline is subtracted when
-  /// deciding whether the explorer may crash further processes.
-  static int setup_crashes(const Scenario<P>& scenario, const Drive& drive) {
-    return count(scenario.may_crash, [&](consensus::ProcessId p) { return drive.crashed(p); });
-  }
-
   /// The first safety or invariant violation at the drive's state, if any.
   static std::optional<std::string> violation(const Scenario<P>& scenario, const Drive& drive) {
     if (!drive.monitor().safe()) return drive.monitor().violations().front();
@@ -419,21 +463,25 @@ class Explorer {
   static ExploreResult fuzz_chunk(const Scenario<P>& scenario, int count, std::uint64_t seed,
                                   int max_steps, std::size_t index, exec::FirstHit& hit) {
     ExploreResult result;
+    if (hit.obsolete(index)) return result;
     util::Rng rng{seed};
+    const auto root = make_drive(scenario);
+    const Baseline base = baseline(scenario, *root);
+    Drive drive(scenario.config, scenario.factory);
+    std::vector<int> schedule;
+    schedule.reserve(static_cast<std::size_t>(std::max(max_steps, 0)));
     for (int t = 0; t < count; ++t) {
       if (hit.obsolete(index)) return result;
-      auto drive = make_drive(scenario);
-      const int baseline = setup_crashes(scenario, *drive);
-      std::vector<int> schedule;
-      schedule.reserve(static_cast<std::size_t>(std::max(max_steps, 0)));
+      drive.restore_from(*root);
+      schedule.clear();
       for (int s = 0; s < max_steps; ++s) {
-        const Counts counts = count_actions(scenario, *drive, baseline);
+        const Counts counts = count_actions(scenario, drive, base);
         if (counts.total() == 0) break;
         const int a = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(counts.total())));
         schedule.push_back(a);
-        perform(scenario, *drive, decode(scenario, *drive, counts, a));
+        perform(scenario, drive, decode(scenario, drive, counts, a));
         ++result.steps;
-        if (auto what = violation(scenario, *drive)) {
+        if (auto what = violation(scenario, drive)) {
           result.violation = true;
           result.what = std::move(*what);
           result.schedule = std::move(schedule);
@@ -455,43 +503,12 @@ class Explorer {
     throw std::logic_error("Explorer: action count and lookup disagree");
   }
 
-  template <typename Range, typename Pred>
-  static int count(const Range& candidates, Pred eligible) {
-    return static_cast<int>(std::ranges::count_if(candidates, eligible));
-  }
-
   static auto all_processes(const Drive& drive) {
     return std::views::iota(consensus::ProcessId{0}, drive.config().n);
   }
 
   static bool can_fire(const Drive& drive, consensus::ProcessId p) {
     return !drive.crashed(p) && drive.armed_timers(p) > 0;
-  }
-
-  static Counts count_actions(const Scenario<P>& scenario, const Drive& drive,
-                              int setup_crashed) {
-    Counts c;
-    const int pool = static_cast<int>(drive.pool().size());
-    const auto up = [&](consensus::ProcessId p) { return !drive.crashed(p); };
-    c.deliveries = pool;
-    int all_up = 0;
-    for (consensus::ProcessId p = 0; p < drive.config().n; ++p) {
-      if (drive.crashed(p)) continue;
-      ++all_up;
-      if (scenario.explore_timers && drive.armed_timers(p) > 0) ++c.timers;
-    }
-    // Only crashes the explorer itself performed count against the budget;
-    // processes already down after `setup` are the scenario's premise.
-    const int alive = count(scenario.may_crash, up);
-    const int explorer_crashed =
-        static_cast<int>(scenario.may_crash.size()) - alive - setup_crashed;
-    if (explorer_crashed < scenario.crash_budget) c.crashes = alive;
-    if (drive.injected_drops() < scenario.faults.drops) c.drops = pool;
-    if (drive.injected_duplicates() < scenario.faults.duplicates) c.duplicates = pool;
-    // Partitioning an empty pool would be a no-op.
-    if (drive.injected_partitions() < scenario.faults.partitions && pool > 0)
-      c.partitions = all_up;
-    return c;
   }
 
   /// The action with index `action` at the drive's state, whose ranges are
@@ -563,9 +580,9 @@ class Explorer {
     }
   }
 
-  static void apply(const Scenario<P>& scenario, Drive& drive, int setup_crashed, int action) {
-    perform(scenario, drive,
-            decode(scenario, drive, count_actions(scenario, drive, setup_crashed), action));
+  static void apply(const Scenario<P>& scenario, Drive& drive, const Baseline& base,
+                    int action) {
+    perform(scenario, drive, decode(scenario, drive, count_actions(scenario, drive, base), action));
   }
 };
 

@@ -94,9 +94,13 @@ bool ClientSession::dial_current(std::int64_t deadline) {
 bool ClientSession::reconnect(std::int64_t deadline) {
   for (;;) {
     // One pass over the replica list per backoff round: a crashed proxy
-    // costs one refused connect, then the next replica answers.
+    // costs one refused connect, then the next replica answers.  Each dial
+    // gets an equal share of what is left for the replicas not yet tried,
+    // so one that drops SYNs cannot use up the whole budget.
     for (std::size_t tried = 0; tried < servers_.size(); ++tried) {
-      if (dial_current(deadline)) {
+      const auto untried = static_cast<std::int64_t>(servers_.size() - tried);
+      const std::int64_t now = now_us();
+      if (dial_current(now + std::max<std::int64_t>(deadline - now, 0) / untried)) {
         redial_backoff_.reset();
         return true;
       }

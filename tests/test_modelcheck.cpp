@@ -18,6 +18,7 @@
 #include "modelcheck/digest.hpp"
 #include "modelcheck/direct_drive.hpp"
 #include "modelcheck/explorer.hpp"
+#include "util/rng.hpp"
 
 namespace twostep::modelcheck {
 namespace {
@@ -156,11 +157,36 @@ TEST(Explorer, TaskAtBoundDepthEightIsExhausted) {
   // Sleep sets alone replay 3,048,833 nodes for the depth-8 space, one per
   // schedule that reaches a state; the visited-state table expands a state
   // again only with more depth left or a sleep set that is not a superset
-  // of the stored one, and cuts that to about 300,000.
+  // of the stored one, and cuts that to about 300,000.  The counts pin the
+  // search's exact work.
   const auto scenario = tiny_task_scenario(SelectionPolicy::kPaper, 1, 8);
   const ExploreResult r = Explorer<TwoStepProcess>::explore(scenario, 20'000'000);
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.violation) << r.what;
+  EXPECT_EQ(r.traces, 257'344);
+  EXPECT_EQ(r.steps, 2'305'496);
+}
+
+TEST(Explorer, PerfbenchAtBoundSpaceDoesItsPinnedWork) {
+  // The exhaustive search of the benchmark's modelcheck job: n=3, e=1, f=1,
+  // three distinct proposals, timers, one mid-step crash, depth 5.  The
+  // protocol only compares values, so 1, 2, 3 stand for any ascending
+  // three.  A change to the search, the action space or a process's
+  // digest moves these counts.
+  const auto scenario = tiny_task_scenario(SelectionPolicy::kPaper, 1, 5);
+  const ExploreResult r = Explorer<TwoStepProcess>::explore(scenario, 20'000'000);
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_FALSE(r.violation) << r.what;
+  EXPECT_EQ(r.traces, 6660);
+  EXPECT_EQ(r.steps, 37'017);
+}
+
+/// A hash of a schedule, to pin one without spelling it out.
+std::uint64_t schedule_hash(const std::vector<int>& schedule) {
+  Hasher h;
+  h(schedule.size());
+  for (const int a : schedule) h(static_cast<std::uint64_t>(a));
+  return h.digest().a;
 }
 
 TEST(Explorer, ReportsReplayableSchedules) {
@@ -182,6 +208,9 @@ TEST(Explorer, ReportsReplayableSchedules) {
   ASSERT_TRUE(r.violation);
   EXPECT_EQ(r.traces, 3586);
   EXPECT_EQ(r.steps, 611893);
+  EXPECT_EQ(r.what, "agreement: process 0 decided 4 but process 4 decided 5");
+  EXPECT_EQ(r.schedule.size(), 107u);
+  EXPECT_EQ(schedule_hash(r.schedule), 811813217945220054ULL);
   auto drive = Explorer<TwoStepProcess>::replay_schedule(scenario, r.schedule);
   EXPECT_FALSE(drive->monitor().safe());
   EXPECT_EQ(drive->monitor().violations().front(), r.what);
@@ -498,6 +527,7 @@ struct PokeProcess {
   static void digest(H& h, const Message& m) {
     h(static_cast<std::uint64_t>(m));
   }
+  void copy_state_from(const PokeProcess& other) { decided_ = other.decided_; }
 
   consensus::Env<Message>* env_;
   bool decided_ = false;
@@ -606,6 +636,141 @@ TEST(Fuzzer, JobsCountDoesNotChangeTheResult) {
   EXPECT_EQ(toy_seq.steps, toy_par.steps);
   EXPECT_EQ(toy_seq.what, toy_par.what);
   EXPECT_EQ(toy_seq.schedule, toy_par.schedule);
+}
+
+// ---------- restoring a drive ----------
+
+/// One move, named as the plain search above names it: ('m', i) delivers,
+/// ('d', i) drops and ('u', i) duplicates pending message i; ('t', p) fires
+/// p's oldest timer, ('c', p) crashes p mid-step and ('q', p) partitions p.
+using Move = std::pair<char, int>;
+
+/// The moves enabled at `d` after `crashes` crash moves, in the explorer's
+/// index order.  Independent of Explorer's action encoding.
+template <typename P>
+std::vector<Move> enabled_moves(const Scenario<P>& s, const DirectDrive<P>& d, int crashes) {
+  std::vector<Move> moves;
+  const int pool = static_cast<int>(d.pool().size());
+  for (int i = 0; i < pool; ++i) moves.emplace_back('m', i);
+  if (s.explore_timers)
+    for (ProcessId p = 0; p < s.config.n; ++p)
+      if (!d.crashed(p) && d.armed_timers(p) > 0) moves.emplace_back('t', p);
+  if (crashes < s.crash_budget)
+    for (const ProcessId p : s.may_crash)
+      if (!d.crashed(p)) moves.emplace_back('c', p);
+  if (d.injected_drops() < s.faults.drops)
+    for (int i = 0; i < pool; ++i) moves.emplace_back('d', i);
+  if (d.injected_duplicates() < s.faults.duplicates)
+    for (int i = 0; i < pool; ++i) moves.emplace_back('u', i);
+  if (d.injected_partitions() < s.faults.partitions && pool > 0)
+    for (ProcessId p = 0; p < s.config.n; ++p)
+      if (!d.crashed(p)) moves.emplace_back('q', p);
+  return moves;
+}
+
+template <typename P>
+void apply_move(DirectDrive<P>& d, const Move& move) {
+  const auto [kind, arg] = move;
+  switch (kind) {
+    case 'm': d.deliver_index(static_cast<std::size_t>(arg)); break;
+    case 't': d.fire_next_timer(arg); break;
+    case 'c': d.crash_suppressing_outbox(arg); break;
+    case 'u': d.duplicate_index(static_cast<std::size_t>(arg)); break;
+    case 'q': d.drop_all_for(arg); break;
+    default: d.drop_index(static_cast<std::size_t>(arg)); break;
+  }
+}
+
+/// The pool by identity, in order: each entry's seq and content digest.
+template <typename P>
+std::vector<std::pair<std::uint64_t, Digest>> pool_of(const DirectDrive<P>& d) {
+  std::vector<std::pair<std::uint64_t, Digest>> out;
+  for (const auto& m : d.pool()) out.emplace_back(m.seq, message_digest<P>(m));
+  return out;
+}
+
+/// Runs `schedules` random schedules of up to `steps` moves two ways: on one
+/// drive, reused across schedules, restored from the post-setup snapshot;
+/// and on a drive built fresh for each schedule.  After every move the two
+/// must agree on the state digest, the pool's seqs and order, the step
+/// counter and the monitor, and the explorer's action counts on both must
+/// equal a naive recount of the enabled moves.
+template <typename P>
+void check_restore_matches_fresh_builds(const Scenario<P>& s, int schedules, int steps) {
+  using Counts = typename Explorer<P>::Counts;
+  DirectDrive<P> root{s.config, s.factory};
+  s.setup(root);
+  const auto base = Explorer<P>::baseline(s, root);
+  DirectDrive<P> restored{s.config, s.factory};
+  util::Rng rng{17};
+  const auto naive = [](const std::vector<Move>& moves) {
+    const auto of = [&](char kind) {
+      return static_cast<int>(std::ranges::count(moves, kind, &Move::first));
+    };
+    return Counts{of('m'), of('t'), of('c'), of('d'), of('u'), of('q')};
+  };
+  long moved = 0;
+  for (int t = 0; t < schedules; ++t) {
+    restored.restore_from(root);
+    DirectDrive<P> fresh{s.config, s.factory};
+    s.setup(fresh);
+    int crashes = 0;
+    for (int k = 0;; ++k) {
+      SCOPED_TRACE("schedule " + std::to_string(t) + ", step " + std::to_string(k));
+      ASSERT_EQ(state_digest(restored), state_digest(fresh));
+      ASSERT_EQ(pool_of(restored), pool_of(fresh));
+      ASSERT_EQ(restored.step(), fresh.step());
+      ASSERT_EQ(restored.monitor().violations(), fresh.monitor().violations());
+      ASSERT_EQ(restored.monitor().decided_count(), fresh.monitor().decided_count());
+      const std::vector<Move> moves = enabled_moves(s, fresh, crashes);
+      ASSERT_EQ(Explorer<P>::count_actions(s, restored, base), naive(moves));
+      ASSERT_EQ(Explorer<P>::count_actions(s, fresh, base), naive(moves));
+      if (k == steps || moves.empty()) break;
+      const Move& move = moves[rng.next_below(moves.size())];
+      apply_move(restored, move);
+      apply_move(fresh, move);
+      crashes += move.first == 'c' ? 1 : 0;
+      ++moved;
+    }
+  }
+  EXPECT_GT(moved, schedules);
+}
+
+TEST(DirectDrive, RestoredDriveMatchesAFreshBuildStepByStep) {
+  // Restoring copies every process through copy_state_from and the drive's
+  // counters, so a restored drive names messages and timers exactly as a
+  // fresh build does.  Timers let p0 lead slow ballots, so the bookkeeping
+  // of led ballots is copied too; the fault budgets cover every move.
+  auto at_bound = tiny_task_scenario(SelectionPolicy::kPaper, 1, 48);
+  at_bound.faults = {1, 1, 1};
+  check_restore_matches_fresh_builds(at_bound, 200, 60);
+
+  const SystemConfig below{5, 2, 2};
+  Scenario<TwoStepProcess> s;
+  s.config = below;
+  s.factory = factory(below, Mode::kTask);
+  s.setup = [](DirectDrive<TwoStepProcess>& d) {
+    d.start_all();
+    for (ProcessId p = 0; p < 5; ++p) d.propose(p, Value{p + 1});
+  };
+  s.may_crash = {0, 1, 2, 3, 4};
+  s.crash_budget = 2;
+  check_restore_matches_fresh_builds(s, 200, 120);
+
+  auto poke = poke_scenario();
+  poke.may_crash = {0, 1};
+  poke.crash_budget = 1;
+  poke.faults = {1, 1, 1};
+  check_restore_matches_fresh_builds(poke, 200, 10);
+}
+
+TEST(Explorer, RejectsACrashListThatNamesAProcessTwice) {
+  // The action counts take may_crash as a set of processes of the config.
+  auto s = tiny_task_scenario(SelectionPolicy::kPaper, 1, 3);
+  s.may_crash = {0, 1, 1};
+  EXPECT_THROW((void)Explorer<TwoStepProcess>::explore(s, 10), std::invalid_argument);
+  s.may_crash = {0, 3};
+  EXPECT_THROW((void)Explorer<TwoStepProcess>::fuzz(s, 10, 1, 10), std::invalid_argument);
 }
 
 }  // namespace

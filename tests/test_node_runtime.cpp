@@ -455,40 +455,85 @@ TEST(LiveRuntime, RetriedCallKeepsTheOriginalRttClock) {
   cluster.stop();
 }
 
-TEST(LiveRuntime, ConnectGivesUpAtItsTimeoutWhenTheServerDropsSyns) {
-  // A listener with backlog 0 that never accepts: once a handshake fills
-  // its accept queue the kernel drops further SYNs, so a plain blocking
-  // ::connect to it hangs for the whole SYN retry schedule.  connect()
-  // must still give up at connect_timeout_ms.
-  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(listener, 0), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  std::vector<int> fillers;
-  for (int i = 0; i < 4; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    ASSERT_GE(fd, 0);
-    (void)::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // left pending
-    fillers.push_back(fd);
+/// A loopback listener that never accepts.  With `drop_syns` its backlog is
+/// 0 and pending connects fill its accept queue, after which the kernel
+/// drops further SYNs: a plain blocking ::connect to it hangs for the whole
+/// SYN retry schedule.  Closing it resets the connects still waiting on it.
+class IdleListener {
+ public:
+  explicit IdleListener(bool drop_syns) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 || ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, drop_syns ? 0 : 16) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+      return;
+    port_ = ntohs(addr.sin_port);
+    for (int i = 0; drop_syns && i < 4; ++i) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+      (void)::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));  // left pending
+      fillers_.push_back(fd);
+    }
+  }
+  ~IdleListener() { close(); }
+  IdleListener(const IdleListener&) = delete;
+  IdleListener& operator=(const IdleListener&) = delete;
+
+  [[nodiscard]] bool ok() const { return port_ != 0; }
+  [[nodiscard]] transport::Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+    for (const int fd : fillers_)
+      if (fd >= 0) ::close(fd);
+    fillers_.clear();
   }
 
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<int> fillers_;
+};
+
+TEST(LiveRuntime, ConnectGivesUpAtItsTimeoutWhenTheServerDropsSyns) {
+  // connect() must give up at connect_timeout_ms even when the only server
+  // drops SYNs.
+  IdleListener listener(/*drop_syns=*/true);
+  ASSERT_TRUE(listener.ok());
   node::ClientOptions options;
   options.connect_timeout_ms = 300;
-  node::ClientSession client(transport::Endpoint{"127.0.0.1", ntohs(addr.sin_port)}, nullptr,
-                             options);
+  node::ClientSession client(listener.endpoint(), nullptr, options);
   auto connected = std::async(std::launch::async, [&] { return client.connect(); });
   const std::future_status status = connected.wait_for(std::chrono::seconds(2));
-  // Closing the listener resets a connect still waiting on it, so even a
-  // hung connect() returns and the future can be joined.
-  ::close(listener);
-  for (const int fd : fillers) ::close(fd);
+  // Closing the listener lets even a hung connect() return, so the future
+  // can be joined.
+  listener.close();
   ASSERT_EQ(status, std::future_status::ready) << "connect() ignored connect_timeout_ms";
   EXPECT_FALSE(connected.get());
+}
+
+TEST(LiveRuntime, ConnectReachesTheLiveServerAfterOneThatDropsSyns) {
+  // Each dial gets a share of connect_timeout_ms, not all that is left, so
+  // a server that drops SYNs leaves time to dial the live one after it.
+  IdleListener dropping(/*drop_syns=*/true);
+  IdleListener live(/*drop_syns=*/false);
+  ASSERT_TRUE(dropping.ok());
+  ASSERT_TRUE(live.ok());
+  node::ClientOptions options;
+  options.connect_timeout_ms = 1000;
+  node::ClientSession client({dropping.endpoint(), live.endpoint()}, nullptr, options);
+  const auto start = std::chrono::steady_clock::now();
+  auto connected = std::async(std::launch::async, [&] { return client.connect(); });
+  const std::future_status status = connected.wait_for(std::chrono::seconds(3));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  dropping.close();
+  ASSERT_EQ(status, std::future_status::ready);
+  EXPECT_TRUE(connected.get());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(options.connect_timeout_ms));
+  EXPECT_EQ(client.current_server(), 1u);
 }
 
 // ---- PR 6: the flight recorder end to end over real sockets --------------
